@@ -22,14 +22,20 @@ Three algorithms share one step-record interface:
 ``wl_nclms``
     Widely linear variant filtering the augmented vector (z, conj(z)) with
     two weight vectors and the shared normalization ``eps + 2 ||z||^2``.
+    This is exactly nclms run on the augmented vector with the stacked
+    weight (w, g): ``<(z, conj z), (w, g)> = <z, w> + <conj z, g>`` and
+    ``||(z, conj z)||^2 = 2 ||z||^2`` because ``|conj z_i| = |z_i|``. Both
+    algorithms therefore share one update, written over a tuple of
+    (input, weight) halves.
 
 Novelty criterion
 -----------------
-A candidate center is admitted only when it is far from the dictionary in
-RKHS norm AND its prediction error is large: with ``dis = min_k ||phi(z) -
-phi(z(k))||``, reject when ``dis < delta1``, otherwise reject when
-``|e| < delta2``, otherwise admit. The distance test runs first. An empty
-dictionary always admits. Rejected samples still consume an iteration and
+A candidate center is admitted only when its error is finite, it is far
+from the dictionary in RKHS norm AND its prediction error is large: with
+``dis = min_k ||phi(z) - phi(z(k))||``, admit when ``e`` is finite,
+``dis >= delta1`` and ``|e| >= delta2``. A non-finite error (a diverged
+prediction) is never written into the dictionary. An empty dictionary
+always admits. Rejected samples still consume an iteration and
 still produce a StepRecord, so learning curves include their errors.
 Setting ``delta1 = delta2 = 0`` disables sparsification entirely.
 
@@ -39,6 +45,7 @@ State objects are mutable and updated in place; the step functions return
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -246,26 +253,19 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         kvec = kernel_vector(zv, dictionary.centers, state.kernel)
         prediction = np.dot(dictionary.coefficients, kvec)
         error = dv - prediction
-        # novelty criterion, distance test first
         distance_sq = kzz + dictionary.self_kernels - 2.0 * kvec.real
         dis = np.sqrt(max(float(distance_sq.min()), 0.0))
-        if dis < state.novelty.delta1:
-            admitted = False
-        elif np.abs(error) < state.novelty.delta2:
-            admitted = False
-        else:
-            admitted = True
+        # novelty criterion; finiteness is tested explicitly because every
+        # comparison with NaN is false and |nan + inf j| is inf
+        admitted = bool(
+            cmath.isfinite(error)
+            and dis >= state.novelty.delta1
+            and np.abs(error) >= state.novelty.delta2
+        )
     if admitted:
         dictionary.append(zv.copy(), state.mu * error, kzz)
     state.iteration += 1
-    record = StepRecord(
-        prediction=complex(prediction),
-        error=complex(error),
-        squared_error=float(error.real * error.real + error.imag * error.imag),
-        admitted=admitted,
-        dict_size=dictionary.size,
-    )
-    return state, record
+    return state, _step_record(prediction, error, admitted, dictionary.size)
 
 
 def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
@@ -277,21 +277,7 @@ def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     """
     zv = _as_sample_vector(z)
     dv = _as_target(d)
-    w = state.w
-    if zv.shape != w.shape:
-        raise ValueError(f"input has {zv.shape[0]} components, filter expects {w.shape[0]}")
-    prediction = np.sum(zv * np.conj(w))
-    error = dv - prediction
-    norm_sq = float(np.sum(zv.real**2 + zv.imag**2))
-    w += (mu / (state.epsilon + norm_sq)) * np.conj(error) * zv
-    record = StepRecord(
-        prediction=complex(prediction),
-        error=complex(error),
-        squared_error=float(error.real * error.real + error.imag * error.imag),
-        admitted=True,
-        dict_size=0,
-    )
-    return state, record
+    return _normalized_lms_step(state, ((zv, state.w),), dv, mu)
 
 
 def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
@@ -306,24 +292,38 @@ def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     dv = _as_target(d)
     if state.g is None:
         raise ValueError("state has no conjugate weight vector; use new_linear_state(dim, widely_linear=True)")
-    w, g = state.w, state.g
-    if zv.shape != w.shape:
-        raise ValueError(f"input has {zv.shape[0]} components, filter expects {w.shape[0]}")
-    zc = np.conj(zv)
-    prediction = np.sum(zv * np.conj(w)) + np.sum(zc * np.conj(g))
+    return _normalized_lms_step(state, ((zv, state.w), (np.conj(zv), state.g)), dv, mu)
+
+
+def _normalized_lms_step(state: LinearFilterState, halves: tuple, dv, mu: float) -> tuple:
+    """Normalized LMS on the stacked input of ``halves``, a tuple of (x, w) pairs.
+
+    The first half is the raw input ``z``; a second half, if present, is
+    ``conj(z)``. Every half has the norm of ``z``, so the stacked squared
+    norm is ``len(halves) * ||z||^2``. Weights are updated in place.
+    """
+    (z, w), *rest = halves
+    if z.shape != w.shape:
+        raise ValueError(f"input has {z.shape[0]} components, filter expects {w.shape[0]}")
+    prediction = np.sum(z * np.conj(w))
+    for x, v in rest:
+        prediction = prediction + np.sum(x * np.conj(v))
     error = dv - prediction
-    norm_sq = float(np.sum(zv.real**2 + zv.imag**2))
-    gain = mu / (state.epsilon + 2.0 * norm_sq)
-    w += gain * np.conj(error) * zv
-    g += gain * np.conj(error) * zc
-    record = StepRecord(
+    norm_sq = float(np.sum(z.real**2 + z.imag**2))
+    gain = mu / (state.epsilon + len(halves) * norm_sq)
+    for x, v in halves:
+        v += gain * np.conj(error) * x
+    return state, _step_record(prediction, error, True, 0)
+
+
+def _step_record(prediction, error, admitted: bool, dict_size: int) -> StepRecord:
+    return StepRecord(
         prediction=complex(prediction),
         error=complex(error),
         squared_error=float(error.real * error.real + error.imag * error.imag),
-        admitted=True,
-        dict_size=0,
+        admitted=admitted,
+        dict_size=dict_size,
     )
-    return state, record
 
 
 @dataclass(frozen=True)
@@ -449,6 +449,11 @@ def restore_state(doc: dict):
             doc["mu"],
             NoveltyConfig(doc["novelty"]["delta1"], doc["novelty"]["delta2"]),
         )
+        if len(doc["centers"]) != len(doc["coefficients"]):
+            raise ValueError(
+                f"snapshot has {len(doc['centers'])} centers but "
+                f"{len(doc['coefficients'])} coefficients"
+            )
         for center_pairs, coeff_pair in zip(doc["centers"], doc["coefficients"]):
             center = np.array([complex(re, im) for re, im in center_pairs])
             state.dictionary.append(

@@ -6,6 +6,22 @@ used as a diagnostic swap-in. It also builds Gram matrices, checks positive
 semidefiniteness spectrally, and computes squared RKHS distances between
 feature-space images of points.
 
+Every kernel value comes from one function, ``kernel_matrix(Z, C, spec)``,
+which writes each family's formula once. ``eval_complex_gaussian``,
+``eval_real_gaussian``, ``kernel_value``, ``kernel_vector`` and ``gram``
+validate their arguments and return the scalar, the row or the matrix of a
+single ``kernel_matrix`` call. Only ``self_kernel`` keeps closed forms of its
+own, because the filters call it on every step and it is O(nu).
+
+``kernel_matrix`` evaluates the Gaussian exponents in the difference form
+``sum_i (z_i - conj(c_i))**2``. The expanded form
+``z.z - 2 conj(c).z + conj(c).conj(c)`` is faster with cached per-center
+terms, but it rounds differently: exact identities such as
+``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0`` then
+hold only to rounding. The real family keeps its own real-arithmetic branch,
+so its values are not a by-product of the complex formula and the
+real-input restriction check compares two independent computations.
+
 Conventions
 -----------
 The complex Gaussian kernel with width ``sigma`` is
@@ -98,6 +114,56 @@ def _require_real(v: np.ndarray, name: str):
         raise ValueError(f"{name} must have zero imaginary parts for the real kernel")
 
 
+def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
+    """Evaluate K[i, j] = kappa(Z[i], C[j]) for every pair of rows.
+
+    This is the only place the kernel formulas are written out, apart from
+    the closed forms of kappa(z, z) in ``self_kernel``; the scalar, vector
+    and Gram helpers are views of one call.
+
+    Parameters
+    ----------
+    Z : array_like of complex, shape (n, nu)
+        Query points, one per row.
+    C : array_like of complex, shape (m, nu)
+        Centers, one per row. ``n`` and ``m`` may be zero.
+    spec : KernelSpec
+
+    Returns
+    -------
+    ndarray, shape (n, m)
+        Complex dtype for the complex-Gaussian and linear families, float
+        for the real family, whose inputs must have zero imaginary parts.
+    """
+    Zm = np.asarray(Z, dtype=np.complex128)
+    Cm = np.asarray(C, dtype=np.complex128)
+    if Zm.ndim != 2 or Cm.ndim != 2 or Zm.shape[1] != Cm.shape[1] or Zm.shape[1] == 0:
+        raise ValueError(
+            "Z and C must be (n, nu) and (m, nu) arrays with nu >= 1, "
+            f"got shapes {Zm.shape} and {Cm.shape}"
+        )
+    # np.add.reduce is np.sum without its Python-level dispatch, which is a
+    # measurable share of a filter step at small dictionary sizes
+    if spec.family == COMPLEX_GAUSSIAN:
+        diff = Zm[:, None] - np.conj(Cm)
+        return np.exp(-np.add.reduce(diff * diff, axis=-1) / spec.sigma**2)
+    if spec.family == REAL_GAUSSIAN:
+        _require_real(Zm, "Z")
+        _require_real(Cm, "C")
+        d = Zm.real[:, None] - Cm.real
+        return np.exp(-np.add.reduce(d * d, axis=-1) / spec.sigma**2)
+    return Zm @ np.conj(Cm).T
+
+
+def _pair_value(z, w, spec: KernelSpec):
+    """kappa(z, w) as the single entry of a 1 x 1 kernel matrix."""
+    zv, wv = _as_pair(z, w)
+    if spec.family == REAL_GAUSSIAN:
+        _require_real(zv, "x")
+        _require_real(wv, "y")
+    return kernel_matrix(zv[None], wv[None], spec)[0, 0]
+
+
 def eval_complex_gaussian(z, w, spec: KernelSpec) -> complex:
     """Evaluate the complex Gaussian kernel kappa(z, w).
 
@@ -117,9 +183,7 @@ def eval_complex_gaussian(z, w, spec: KernelSpec) -> complex:
     """
     if spec.family != COMPLEX_GAUSSIAN:
         raise ValueError(f"spec has family {spec.family!r}, expected {COMPLEX_GAUSSIAN!r}")
-    zv, wv = _as_pair(z, w)
-    diff = zv - np.conj(wv)
-    return complex(np.exp(-np.sum(diff * diff) / spec.sigma**2))
+    return complex(_pair_value(z, w, spec))
 
 
 def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
@@ -131,25 +195,15 @@ def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
     """
     if spec.family != REAL_GAUSSIAN:
         raise ValueError(f"spec has family {spec.family!r}, expected {REAL_GAUSSIAN!r}")
-    xv, yv = _as_pair(x, y)
-    _require_real(xv, "x")
-    _require_real(yv, "y")
-    d = xv.real - yv.real
-    return float(np.exp(-np.sum(d * d) / spec.sigma**2))
+    return float(_pair_value(x, y, spec))
 
 
 def kernel_value(z, w, spec: KernelSpec) -> complex:
     """Evaluate kappa(z, w) for any supported family.
 
-    Dispatches to the family-specific rule; the linear family returns
-    ``sum_i z_i * conj(w_i)``.
+    The linear family returns ``sum_i z_i * conj(w_i)``.
     """
-    if spec.family == COMPLEX_GAUSSIAN:
-        return eval_complex_gaussian(z, w, spec)
-    if spec.family == REAL_GAUSSIAN:
-        return complex(eval_real_gaussian(z, w, spec))
-    zv, wv = _as_pair(z, w)
-    return complex(np.sum(zv * np.conj(wv)))
+    return complex(_pair_value(z, w, spec))
 
 
 def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -168,9 +222,9 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
     Returns
     -------
-    ndarray, shape (m,)
-        ``[kappa(z, centers[0]), ..., kappa(z, centers[m-1])]``. Matches
-        per-pair evaluation of the scalar functions to rounding.
+    ndarray of complex, shape (m,)
+        ``[kappa(z, centers[0]), ..., kappa(z, centers[m-1])]``, the single
+        row of ``kernel_matrix(z[None, :], centers, spec)``.
     """
     zv = _as_vector(z)
     c = np.asarray(centers, dtype=np.complex128)
@@ -178,15 +232,10 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ValueError(
             f"centers must have shape (m, {zv.shape[0]}), got {c.shape}"
         )
-    if spec.family == COMPLEX_GAUSSIAN:
-        diff = zv[None, :] - np.conj(c)
-        return np.exp(-np.sum(diff * diff, axis=1) / spec.sigma**2)
     if spec.family == REAL_GAUSSIAN:
         _require_real(zv, "z")
         _require_real(c, "centers")
-        d = zv.real[None, :] - c.real
-        return np.exp(-np.sum(d * d, axis=1) / spec.sigma**2).astype(np.complex128)
-    return np.conj(c) @ zv
+    return np.asarray(kernel_matrix(zv[None], c, spec)[0], dtype=np.complex128)
 
 
 def self_kernel(z, spec: KernelSpec) -> float:
@@ -227,14 +276,9 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
         p = p[:, None]
     if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
         raise ValueError("points must be a non-empty (N, nu) collection")
-    if spec.family == COMPLEX_GAUSSIAN:
-        diff = p[:, None, :] - np.conj(p)[None, :, :]
-        return np.exp(-np.sum(diff * diff, axis=-1) / spec.sigma**2)
     if spec.family == REAL_GAUSSIAN:
         _require_real(p, "points")
-        d = p.real[:, None, :] - p.real[None, :, :]
-        return np.exp(-np.sum(d * d, axis=-1) / spec.sigma**2)
-    return p @ np.conj(p).T
+    return kernel_matrix(p, p, spec)
 
 
 def is_positive_semidefinite(K, tol: float = 1e-10) -> bool:

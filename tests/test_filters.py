@@ -164,6 +164,18 @@ class TestCklmsStep:
             state, record = cklms_step(state, z, d)
             assert record.prediction == before
 
+    def test_non_finite_error_never_admitted(self):
+        """A diverged prediction (inf - inf) is rejected even with sparsification off."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=1.0)
+        state.dictionary.append(np.array([0.0 + 0j]), complex(np.inf), 1.0)
+        state.dictionary.append(np.array([1.0 + 0j]), complex(-np.inf), 1.0)
+        with np.errstate(invalid="ignore"):
+            state, record = cklms_step(state, [0.5 + 0j], 0j)
+        assert not np.isfinite(record.error)
+        assert record.admitted is False
+        assert record.dict_size == 2
+        assert not np.any(np.isnan(state.dictionary.coefficients))
+
     def test_squared_error_consistent(self):
         """squared_error equals |error|^2 within rounding."""
         rng = np.random.default_rng(4)
@@ -419,6 +431,18 @@ class TestSnapshots:
         assert set(doc) == {"algorithm", "kernel", "mu", "novelty", "iteration", "centers", "coefficients"}
         lin = snapshot_state(new_linear_state(2))
         assert set(lin) == {"algorithm", "epsilon", "w", "g"}
+
+    def test_mismatched_dictionary_lengths_rejected(self):
+        """A snapshot with more centers than coefficients is refused, not truncated."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
+        rng = np.random.default_rng(82)
+        for z, d in random_samples(rng, 3, 2):
+            state, _ = cklms_step(state, z, d)
+        doc = snapshot_state(state)
+        assert len(doc["centers"]) == 3
+        doc["coefficients"] = doc["coefficients"][:2]
+        with pytest.raises(ValueError, match="3 centers but 2 coefficients"):
+            restore_state(doc)
 
     def test_unknown_snapshot_rejected(self):
         """Restoring an unrecognized document is a usage error."""

@@ -1,7 +1,13 @@
 """Unit tests for the kernel module: evaluations, Gram matrices, RKHS distance."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ckaf.kernels import (
     KernelSpec,
@@ -10,6 +16,7 @@ from ckaf.kernels import (
     eval_real_gaussian,
     gram,
     is_positive_semidefinite,
+    kernel_matrix,
     kernel_value,
     kernel_vector,
     linear_kernel,
@@ -26,6 +33,52 @@ DIST_SQ_1PI_0_SIGMA2 = 1.9631167046782998  # e + 1 - 2*cos(1/2)
 
 def random_points(rng, n, dim, scale=0.5):
     return scale * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+
+
+def reference_kappa(z, w, spec):
+    """Per-pair closed forms in plain Python arithmetic, independent of the package."""
+    pairs = [(complex(a), complex(b)) for a, b in zip(z, w)]
+    if spec.family == "complex-gaussian":
+        return cmath.exp(-sum((a - b.conjugate()) ** 2 for a, b in pairs) / spec.sigma**2)
+    if spec.family == "real-gaussian":
+        return complex(math.exp(-sum((a.real - b.real) ** 2 for a, b in pairs) / spec.sigma**2))
+    return sum(a * b.conjugate() for a, b in pairs)
+
+
+def reference_matrix(Z, C, spec):
+    return np.array(
+        [[reference_kappa(z, c, spec) for c in C] for z in Z], dtype=np.complex128
+    ).reshape(len(Z), len(C))
+
+
+FAMILIES = ("complex-gaussian", "real-gaussian", "linear")
+GAUSSIAN_FAMILIES = ("complex-gaussian", "real-gaussian")
+# Components in [-1, 1], dimension <= 6 and sigma >= 1 keep the Gaussian
+# exponent below 48 in modulus, so values neither overflow nor underflow.
+_COORD = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_sets(draw, family, n, m):
+    """(Z, C) of shapes (n, dim) and (m, dim); real-valued for the real family."""
+    dim = draw(st.integers(1, 6))
+
+    def points(rows):
+        re = draw(hnp.arrays(np.float64, (rows, dim), elements=_COORD))
+        if family == "real-gaussian":
+            return re.astype(np.complex128)
+        return re + 1j * draw(hnp.arrays(np.float64, (rows, dim), elements=_COORD))
+
+    return points(n), points(m)
+
+
+@st.composite
+def kernel_cases(draw, families=FAMILIES):
+    """A spec plus a query point and two to five centers."""
+    family = draw(st.sampled_from(families))
+    spec = KernelSpec(family, draw(st.floats(1.0, 5.0)))
+    Z, C = draw(point_sets(family, 1, draw(st.integers(2, 5))))
+    return spec, Z[0], C
 
 
 class TestKernelSpec:
@@ -130,18 +183,19 @@ class TestHermitianSymmetry:
 
 class TestKernelVector:
     def test_matches_scalar_evaluations(self):
-        """The vectorized path agrees with per-pair scalar calls for every family."""
+        """The vectorized path agrees with the per-pair closed forms for every family."""
         rng = np.random.default_rng(6)
         z = random_points(rng, 1, 4)[0]
         centers = random_points(rng, 12, 4)
         for spec in (complex_gaussian(1.3), linear_kernel()):
             vec = kernel_vector(z, centers, spec)
-            ref = np.array([kernel_value(z, c, spec) for c in centers])
+            ref = np.array([reference_kappa(z, c, spec) for c in centers])
             np.testing.assert_allclose(vec, ref, rtol=1e-13)
         real_centers = centers.real.astype(complex)
         vec = kernel_vector(z.real.astype(complex), real_centers, real_gaussian(2.0))
+        assert vec.dtype == np.complex128
         ref = np.array(
-            [kernel_value(z.real, c, real_gaussian(2.0)) for c in real_centers]
+            [reference_kappa(z.real, c, real_gaussian(2.0)) for c in real_centers]
         )
         np.testing.assert_allclose(vec, ref, rtol=1e-13)
 
@@ -149,6 +203,71 @@ class TestKernelVector:
         """Center matrices with the wrong width are refused."""
         with pytest.raises(ValueError, match="centers"):
             kernel_vector([1j, 0], np.zeros((3, 3), dtype=complex), complex_gaussian(1.0))
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, family, m, data):
+        """Every entry agrees with the per-pair closed form to 1e-13."""
+        spec = KernelSpec(family, data.draw(st.floats(1.0, 5.0)))
+        Z, C = data.draw(point_sets(family, data.draw(st.integers(1, 3)), m))
+        K = kernel_matrix(Z, C, spec)
+        assert K.shape == (Z.shape[0], m)
+        # linear values can cancel to near zero, so they get an absolute floor
+        atol = 1e-13 if family == "linear" else 0.0
+        np.testing.assert_allclose(K, reference_matrix(Z, C, spec), rtol=1e-13, atol=atol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases())
+    def test_views_are_entries_bit_for_bit(self, case):
+        """Each helper returns exactly the entry, row or matrix of its kernel_matrix call."""
+        spec, z, C = case
+        c = C[0]
+        entry = kernel_matrix(z[None, :], c[None, :], spec)[0, 0]
+        assert kernel_value(z, c, spec) == complex(entry)
+        if spec.family == "complex-gaussian":
+            assert eval_complex_gaussian(z, c, spec) == complex(entry)
+        if spec.family == "real-gaussian":
+            assert eval_real_gaussian(z, c, spec) == float(entry)
+        assert np.array_equal(kernel_vector(z, C, spec), kernel_matrix(z[None, :], C, spec)[0])
+        assert np.array_equal(gram(C, spec), kernel_matrix(C, C, spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(GAUSSIAN_FAMILIES))
+    def test_hermitian_and_distance_symmetry_exact(self, case):
+        """Gaussian families: kappa(w, z) == conj(kappa(z, w)) and symmetric distances, exactly."""
+        spec, z, C = case
+        w = C[0]
+        assert kernel_value(w, z, spec) == np.conj(kernel_value(z, w, spec))
+        assert rkhs_distance_sq(z, w, spec) == rkhs_distance_sq(w, z, spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(("linear",)))
+    def test_linear_hermitian_and_distance_symmetry(self, case):
+        """Linear family: the same identities to rounding, since a BLAS product may fuse multiply-adds."""
+        spec, z, C = case
+        w = C[0]
+        assert abs(kernel_value(w, z, spec) - np.conj(kernel_value(z, w, spec))) <= 1e-14
+        assert rkhs_distance_sq(z, w, spec) == pytest.approx(rkhs_distance_sq(w, z, spec), abs=1e-14)
+
+    def test_shape_validation(self):
+        """Mismatched widths, wrong ranks and zero-width points are refused."""
+        spec = complex_gaussian(1.0)
+        for Z, C in (
+            (np.zeros((1, 2)), np.zeros((3, 3))),
+            (np.zeros(2), np.zeros((3, 2))),
+            (np.zeros((1, 0)), np.zeros((3, 0))),
+        ):
+            with pytest.raises(ValueError, match="nu"):
+                kernel_matrix(Z, C, spec)
+
+    def test_real_family_rejects_complex_input(self):
+        """The real family refuses nonzero imaginary parts in either argument."""
+        with pytest.raises(ValueError, match="imaginary"):
+            kernel_matrix([[0.0]], [[1j]], real_gaussian(1.0))
 
 
 class TestSelfKernel:
@@ -179,7 +298,7 @@ class TestGram:
         p = np.array([0.1 + 0.4j, -0.2j])
         K = gram([p], complex_gaussian(1.0))
         assert K.shape == (1, 1)
-        assert K[0, 0] == pytest.approx(kernel_value(p, p, complex_gaussian(1.0)), rel=1e-14)
+        assert K[0, 0] == pytest.approx(reference_kappa(p, p, complex_gaussian(1.0)), rel=1e-14)
 
     def test_two_identical_real_points(self):
         """Duplicated real points give the all-ones matrix."""
@@ -187,7 +306,7 @@ class TestGram:
         np.testing.assert_allclose(K, np.ones((2, 2)), rtol=0, atol=1e-15)
 
     def test_matches_pairwise_evaluation(self):
-        """Entries reproduce independent pairwise kernel calls."""
+        """Entries reproduce the per-pair closed forms."""
         rng = np.random.default_rng(8)
         pts = random_points(rng, 5, 3)
         for spec in (complex_gaussian(1.0), linear_kernel()):
@@ -195,7 +314,7 @@ class TestGram:
             for i in range(5):
                 for j in range(5):
                     assert K[i, j] == pytest.approx(
-                        kernel_value(pts[i], pts[j], spec), rel=1e-13
+                        reference_kappa(pts[i], pts[j], spec), rel=1e-13
                     ), f"entry ({i},{j}) mismatch for {spec.family}"
 
     def test_hermitian_with_real_diagonal(self):
