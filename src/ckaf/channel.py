@@ -38,7 +38,7 @@ class SignalConfig:
 
     rho: float
     n_samples: int
-    seed: int
+    seed: int = 0
     amplitude: float = 0.70
 
     def __post_init__(self):
@@ -52,10 +52,10 @@ class SignalConfig:
 class ChannelConfig:
     """Linear taps, polynomial coefficients (t^2 term first), noise level, seed."""
 
-    noise_stddev: float
-    seed: int
-    linear_taps: tuple = DEFAULT_LINEAR_TAPS
-    poly_coeffs: tuple = DEFAULT_POLY_COEFFS
+    noise_stddev: float = 0.0
+    seed: int = 0
+    linear_taps: tuple[complex, ...] = DEFAULT_LINEAR_TAPS
+    poly_coeffs: tuple[complex, ...] = DEFAULT_POLY_COEFFS
 
     def __post_init__(self):
         if self.noise_stddev < 0:

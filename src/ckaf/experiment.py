@@ -8,9 +8,14 @@ realization, so curves are directly comparable.
 
 Seeding contract: run r draws its signal and noise seeds from
 ``numpy.random.SeedSequence((master_seed, r))``, making runs independent,
-order-insensitive, and reproducible regardless of worker count. The seeds
-carried inside the signal/channel sub-configs are placeholders that the
-runner overrides per run.
+order-insensitive, and reproducible bit for bit. The seeds carried inside
+the signal/channel sub-configs are placeholders that the runner overrides
+per run.
+
+Config contract: the config dataclasses declare every setting once, its
+name, JSON type and default. ``config_from_dict`` and ``config_to_dict``
+walk their fields, so a setting added to a dataclass is parsed, validated
+and echoed without further code.
 
 Output contract: CSV files have the header ``iteration,<label>_mse_db,...``
 with 1-based iteration numbers and %.12e values. JSON documents carry three
@@ -23,11 +28,11 @@ values of 0 are clamped to 1e-12 (-120 dB) before the dB transform.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, replace
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,11 +101,10 @@ class ExperimentConfig:
     signal: SignalConfig
     channel: ChannelConfig
     embedding: EmbeddingConfig
-    algorithms: tuple
+    algorithms: tuple[AlgorithmConfig, ...]
     mc_runs: int
     master_seed: int
     moving_average: int = 0
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.mc_runs < 1:
@@ -112,8 +116,6 @@ class ExperimentConfig:
             raise ValueError(f"algorithm labels must be unique, got {labels}")
         if self.moving_average < 0:
             raise ValueError("moving_average must be nonnegative")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
 
 
 @dataclass
@@ -143,20 +145,13 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all Monte-Carlo runs and average learning curves pointwise.
 
-    Runs execute serially, or concurrently when ``cfg.n_workers > 1``;
-    aggregation always happens in run-index order, so results do not depend
-    on the degree of concurrency. Failures are re-raised with the run index
-    and algorithm label attached.
+    Runs execute serially in run-index order; each run seeds itself from
+    ``(master_seed, run_index)``, so results do not depend on that order.
+    Failures are re-raised with the run index and algorithm label attached.
     """
     started = time.perf_counter()
-    if cfg.n_workers == 1:
-        per_run = map(_single_run, ((cfg, r) for r in range(cfg.mc_runs)))
-        aggregate = _aggregate(cfg, per_run)
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.n_workers) as pool:
-            per_run = pool.map(_single_run, ((cfg, r) for r in range(cfg.mc_runs)), chunksize=1)
-            aggregate = _aggregate(cfg, per_run)
-    curves, signal_power, noise_power = aggregate
+    per_run = (_single_run(cfg, r) for r in range(cfg.mc_runs))
+    curves, signal_power, noise_power = _aggregate(cfg, per_run)
 
     snr_db = None
     if cfg.channel.noise_stddev > 0 and noise_power > 0:
@@ -172,9 +167,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=cfg, curves=curves, metadata=metadata)
 
 
-def _single_run(args) -> tuple:
+def _single_run(cfg: ExperimentConfig, run_index: int) -> tuple:
     """One Monte-Carlo realization: shared dataset, one trace per algorithm."""
-    cfg, run_index = args
     try:
         seeds = np.random.SeedSequence((cfg.master_seed, run_index)).generate_state(2)
         signal_cfg = replace(cfg.signal, seed=int(seeds[0]))
@@ -291,130 +285,14 @@ def _emit_json(result: ExperimentResult, path) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _complex_pairs(values) -> list:
-    return [[float(np.real(v)), float(np.imag(v))] for v in values]
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Full JSON-ready echo of a config, defaults resolved; inverse of config_from_dict."""
-    return {
-        "name": cfg.name,
-        "signal": {
-            "rho": cfg.signal.rho,
-            "n_samples": cfg.signal.n_samples,
-            "amplitude": cfg.signal.amplitude,
-        },
-        "channel": {
-            "noise_stddev": cfg.channel.noise_stddev,
-            "linear_taps": _complex_pairs(cfg.channel.linear_taps),
-            "poly_coeffs": _complex_pairs(cfg.channel.poly_coeffs),
-        },
-        "embedding": {
-            "filter_length": cfg.embedding.filter_length,
-            "delay": cfg.embedding.delay,
-        },
-        "algorithms": [
-            {
-                "algorithm": a.algorithm,
-                "label": a.label,
-                "mu": a.mu,
-                "kernel": a.kernel,
-                "sigma": a.sigma,
-                "delta1": a.delta1,
-                "delta2": a.delta2,
-                "epsilon": a.epsilon,
-            }
-            for a in cfg.algorithms
-        ],
-        "mc_runs": cfg.mc_runs,
-        "master_seed": cfg.master_seed,
-        "moving_average": cfg.moving_average,
-        "n_workers": cfg.n_workers,
-    }
+    return _echo(ExperimentConfig, cfg)
 
 
 def config_from_dict(doc: dict, path: str = "experiment") -> ExperimentConfig:
     """Parse one experiment document, reporting bad fields by dotted path."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "must be an object")
-    known = {
-        "name", "signal", "channel", "embedding", "algorithms",
-        "mc_runs", "master_seed", "moving_average", "n_workers",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-    name = _require(doc, "name", str, path)
-    signal_doc = _require(doc, "signal", dict, path)
-    channel_doc = doc.get("channel", {})
-    embedding_doc = doc.get("embedding", {})
-    algorithms_doc = _require(doc, "algorithms", list, path)
-
-    signal = _build(
-        SignalConfig, f"{path}.signal",
-        rho=_require(signal_doc, "rho", (int, float), f"{path}.signal"),
-        n_samples=_require(signal_doc, "n_samples", int, f"{path}.signal"),
-        amplitude=_optional(signal_doc, "amplitude", (int, float), 0.70, f"{path}.signal"),
-        seed=0,
-        _known={"rho", "n_samples", "amplitude"},
-        _doc=signal_doc,
-    )
-    channel = _build(
-        ChannelConfig, f"{path}.channel",
-        noise_stddev=_optional(channel_doc, "noise_stddev", (int, float), 0.0, f"{path}.channel"),
-        linear_taps=_pairs_to_complex(
-            _optional(channel_doc, "linear_taps", list, None, f"{path}.channel"),
-            f"{path}.channel.linear_taps",
-            default=ChannelConfig.__dataclass_fields__["linear_taps"].default,
-        ),
-        poly_coeffs=_pairs_to_complex(
-            _optional(channel_doc, "poly_coeffs", list, None, f"{path}.channel"),
-            f"{path}.channel.poly_coeffs",
-            default=ChannelConfig.__dataclass_fields__["poly_coeffs"].default,
-        ),
-        seed=0,
-        _known={"noise_stddev", "linear_taps", "poly_coeffs"},
-        _doc=channel_doc,
-    )
-    embedding = _build(
-        EmbeddingConfig, f"{path}.embedding",
-        filter_length=_optional(embedding_doc, "filter_length", int, 5, f"{path}.embedding"),
-        delay=_optional(embedding_doc, "delay", int, 2, f"{path}.embedding"),
-        _known={"filter_length", "delay"},
-        _doc=embedding_doc,
-    )
-    algorithms = []
-    for i, alg_doc in enumerate(algorithms_doc):
-        alg_path = f"{path}.algorithms[{i}]"
-        if not isinstance(alg_doc, dict):
-            raise ConfigError(alg_path, "must be an object")
-        algorithms.append(
-            _build(
-                AlgorithmConfig, alg_path,
-                algorithm=_require(alg_doc, "algorithm", str, alg_path),
-                mu=_require(alg_doc, "mu", (int, float), alg_path),
-                label=_optional(alg_doc, "label", str, None, alg_path),
-                kernel=_optional(alg_doc, "kernel", str, "complex-gaussian", alg_path),
-                sigma=_optional(alg_doc, "sigma", (int, float), 5.0, alg_path),
-                delta1=_optional(alg_doc, "delta1", (int, float), 0.0, alg_path),
-                delta2=_optional(alg_doc, "delta2", (int, float), 0.0, alg_path),
-                epsilon=_optional(alg_doc, "epsilon", (int, float), 1e-6, alg_path),
-                _known={"algorithm", "mu", "label", "kernel", "sigma", "delta1", "delta2", "epsilon"},
-                _doc=alg_doc,
-            )
-        )
-    return _build(
-        ExperimentConfig, path,
-        name=name,
-        signal=signal,
-        channel=channel,
-        embedding=embedding,
-        algorithms=tuple(algorithms),
-        mc_runs=_require(doc, "mc_runs", int, path),
-        master_seed=_require(doc, "master_seed", int, path),
-        moving_average=_optional(doc, "moving_average", int, 0, path),
-        n_workers=_optional(doc, "n_workers", int, 1, path),
-    )
+    return _parse(ExperimentConfig, doc, path)
 
 
 def load_config_file(path) -> list:
@@ -439,48 +317,71 @@ def load_config_file(path) -> list:
     return configs
 
 
-def _require(doc, key, types, path):
-    if key not in doc:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected {_type_name(types)}, got {value!r}")
+def _config_fields(cls) -> list:
+    # Per-run seeds derive from master_seed, so "seed" is not a config key.
+    return [f for f in dataclasses.fields(cls) if f.name != "seed"]
+
+
+def _parse(cls, doc, path: str):
+    """Build config dataclass ``cls`` from a JSON object, checking every key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "must be an object")
+    fields = _config_fields(cls)
+    names = {f.name for f in fields}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields:
+        tp = hints[f.name]
+        if f.name in doc:
+            values[f.name] = _parse_value(tp, doc[f.name], f"{path}.{f.name}")
+        elif dataclasses.is_dataclass(tp) and all(
+            g.default is not MISSING for g in dataclasses.fields(tp)
+        ):
+            values[f.name] = tp()  # a section whose fields all have defaults may be omitted
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _parse_value(tp, value, path: str):
+    if dataclasses.is_dataclass(tp):
+        return _parse(tp, value, path)
+    if get_origin(tp) is tuple:
+        _check_type(list, value, path)
+        return tuple(_parse_value(get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if tp is complex:
+        if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)):
+            raise ConfigError(path, f"expected a [real, imag] pair, got {value!r}")
+        return complex(value[0], value[1])
+    if get_origin(tp) is Union:  # Optional[X]: null is not accepted, only X
+        tp = get_args(tp)[0]
+    return _check_type(tp, value, path)
+
+
+def _check_type(tp, value, path: str):
+    accepted, expected = ((int, float), "number") if tp is float else (tp, tp.__name__)
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ConfigError(path, f"expected {expected}, got {value!r}")
     return value
 
 
-def _optional(doc, key, types, default, path):
-    if key not in doc:
-        return default
-    return _require(doc, key, types, path)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _type_name(types) -> str:
-    if isinstance(types, tuple):
-        return "number" if float in types else "/".join(t.__name__ for t in types)
-    return types.__name__
-
-
-def _pairs_to_complex(entries, path, default):
-    if entries is None:
-        return default
-    values = []
-    for i, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-            raise ConfigError(f"{path}[{i}]", f"expected a [real, imag] pair, got {pair!r}")
-        values.append(complex(pair[0], pair[1]))
-    return tuple(values)
-
-
-def _build(cls, path, _known=None, _doc=None, **kwargs):
-    """Construct a config dataclass, rewriting validation errors with the path."""
-    if _known is not None and _doc is not None:
-        for key in _doc:
-            if key not in _known:
-                raise ConfigError(f"{path}.{key}", "unknown field")
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+def _echo(tp, value):
+    """JSON form of ``value`` declared as ``tp``: objects, lists, [real, imag] pairs."""
+    if dataclasses.is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return {f.name: _echo(hints[f.name], getattr(value, f.name)) for f in _config_fields(tp)}
+    if get_origin(tp) is tuple:
+        return [_echo(get_args(tp)[0], v) for v in value]
+    if tp is complex:
+        return [float(np.real(value)), float(np.imag(value))]
+    return value

@@ -305,11 +305,12 @@ def _normalized_lms_step(state: LinearFilterState, halves: tuple, dv, mu: float)
     (z, w), *rest = halves
     if z.shape != w.shape:
         raise ValueError(f"input has {z.shape[0]} components, filter expects {w.shape[0]}")
-    prediction = np.sum(z * np.conj(w))
+    # np.add.reduce is what np.sum calls (same bits), without its Python dispatch.
+    prediction = np.add.reduce(z * np.conj(w))
     for x, v in rest:
-        prediction = prediction + np.sum(x * np.conj(v))
+        prediction = prediction + np.add.reduce(x * np.conj(v))
     error = dv - prediction
-    norm_sq = float(np.sum(z.real**2 + z.imag**2))
+    norm_sq = float(np.add.reduce(z.real**2 + z.imag**2))
     gain = mu / (state.epsilon + len(halves) * norm_sq)
     for x, v in halves:
         v += gain * np.conj(error) * x

@@ -248,11 +248,11 @@ def self_kernel(z, spec: KernelSpec) -> float:
     """
     zv = _as_vector(z)
     if spec.family == COMPLEX_GAUSSIAN:
-        return float(np.exp(4.0 * np.sum(zv.imag**2) / spec.sigma**2))
+        return float(np.exp(4.0 * np.add.reduce(zv.imag**2) / spec.sigma**2))
     if spec.family == REAL_GAUSSIAN:
         _require_real(zv, "z")
         return 1.0
-    return float(np.sum(zv.real**2 + zv.imag**2))
+    return float(np.add.reduce(zv.real**2 + zv.imag**2))
 
 
 def gram(points, spec: KernelSpec) -> np.ndarray:

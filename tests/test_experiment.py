@@ -1,10 +1,15 @@
 """Monte-Carlo runner, config parsing, and result emission tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ckaf.cli import default_config_path
 from ckaf.experiment import (
     AlgorithmConfig,
     ConfigError,
@@ -18,6 +23,9 @@ from ckaf.experiment import (
 from ckaf.channel import ChannelConfig, EmbeddingConfig, SignalConfig
 
 CIRCULAR_RHO = 0.7071067811865476
+SHIPPED_CONFIGS = [default_config_path()] + sorted(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "configs").glob("*.json")
+)
 
 
 def tiny_doc(**overrides):
@@ -38,10 +46,32 @@ def tiny_doc(**overrides):
 
 
 class TestConfigParsing:
-    def test_round_trip_through_dict(self):
-        """config_to_dict and config_from_dict are inverse."""
-        cfg = config_from_dict(tiny_doc())
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+    @pytest.mark.parametrize(
+        "source", ["tiny", *SHIPPED_CONFIGS], ids=lambda s: getattr(s, "name", s)
+    )
+    def test_round_trip_through_dict(self, source):
+        """config_to_dict and config_from_dict are inverse, also through JSON text."""
+        configs = [config_from_dict(tiny_doc())] if source == "tiny" else load_config_file(source)
+        for cfg in configs:
+            assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_omitted_sections_take_dataclass_defaults(self):
+        """channel and embedding are optional; signal is required."""
+        doc = tiny_doc()
+        del doc["channel"], doc["embedding"]
+        cfg = config_from_dict(doc)
+        assert cfg.channel == ChannelConfig()
+        assert cfg.embedding == EmbeddingConfig()
+        del doc["signal"]
+        with pytest.raises(ConfigError, match=r"^experiment\.signal: missing required field$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("section", ["signal", "channel", "embedding"])
+    @pytest.mark.parametrize("value", [3, [5], "abc"], ids=["number", "list", "string"])
+    def test_non_object_section_rejected(self, section, value):
+        """A section that is not a JSON object is a config error naming the section."""
+        with pytest.raises(ConfigError, match=rf"^experiment\.{section}: must be an object$"):
+            config_from_dict(tiny_doc(**{section: value}))
 
     def test_missing_field_names_path(self):
         """A missing required field is reported with its dotted path."""
@@ -59,6 +89,8 @@ class TestConfigParsing:
         """Unrecognized keys are reported rather than ignored."""
         with pytest.raises(ConfigError, match=r"experiment\.typo"):
             config_from_dict(tiny_doc(typo=1))
+        with pytest.raises(ConfigError, match=r"^experiment\.n_workers: unknown field$"):
+            config_from_dict(tiny_doc(n_workers=1))
         doc = tiny_doc()
         doc["signal"]["sigma"] = 1.0
         with pytest.raises(ConfigError, match=r"experiment\.signal\.sigma"):
@@ -141,13 +173,6 @@ class TestRunExperiment:
         b = run_experiment(cfg)
         for label in a.curves:
             assert np.array_equal(a.curves[label].mse, b.curves[label].mse)
-
-    def test_worker_count_does_not_change_results(self):
-        """Concurrent and serial execution aggregate identically."""
-        serial = run_experiment(config_from_dict(tiny_doc(mc_runs=4)))
-        parallel = run_experiment(config_from_dict(tiny_doc(mc_runs=4, n_workers=2)))
-        for label in serial.curves:
-            assert np.array_equal(serial.curves[label].mse, parallel.curves[label].mse)
 
     def test_kernel_filter_converges_on_low_amplitude_noise_free_channel(self):
         """Sparsification off, no noise: final-segment MSE drops by >= 10 dB.
@@ -282,3 +307,17 @@ class TestEmitResults:
         """Emitting into a missing directory raises an I/O error."""
         with pytest.raises(OSError):
             emit_results(result, "csv", tmp_path / "missing" / "out.csv")
+
+
+def test_import_leaves_process_pools_unloaded():
+    """``import ckaf`` stays lean: no concurrent.futures, no multiprocessing."""
+    probe = (
+        "import sys, ckaf; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
