@@ -303,6 +303,9 @@ def load_config_file(path) -> list:
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
     if isinstance(doc, dict) and "experiments" in doc:
+        for key in doc:
+            if key != "experiments":
+                raise ConfigError(key, "unknown field")
         experiments = doc["experiments"]
         if not isinstance(experiments, list) or not experiments:
             raise ConfigError("experiments", "must be a non-empty list")

@@ -99,13 +99,16 @@ class Dictionary:
 
     Entries are never removed or mutated after admission. ``centers`` and
     ``coefficients`` expose read-only views of the live prefix; internal
-    buffers double in capacity as the dictionary grows.
+    buffers double in capacity as the dictionary grows. Besides kappa(c, c),
+    each entry caches ``sum_i c_i**2``, with which ``kernel_vector``
+    evaluates the kernel against every center with one matrix-vector product.
     """
 
     def __init__(self):
         self._centers = None
         self._coefficients = np.empty(_INITIAL_CAPACITY, dtype=np.complex128)
         self._self_kernels = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
+        self._squares = np.empty(_INITIAL_CAPACITY, dtype=np.complex128)
         self._size = 0
 
     def __len__(self):
@@ -143,6 +146,13 @@ class Dictionary:
         view.setflags(write=False)
         return view
 
+    @property
+    def squares(self) -> np.ndarray:
+        """Read-only (size,) view of cached ``sum_i c_i**2`` values."""
+        view = self._squares[: self._size]
+        view.setflags(write=False)
+        return view
+
     def append(self, center: np.ndarray, coefficient: complex, self_k: float):
         if self._centers is None:
             self._centers = np.empty(
@@ -161,9 +171,12 @@ class Dictionary:
             self._self_kernels = np.concatenate(
                 [self._self_kernels, np.empty_like(self._self_kernels)]
             )
-        self._centers[self._size] = center
+            self._squares = np.concatenate([self._squares, np.empty_like(self._squares)])
+        stored = self._centers[self._size]
+        stored[:] = center
         self._coefficients[self._size] = coefficient
         self._self_kernels[self._size] = self_k
+        self._squares[self._size] = np.add.reduce(stored * stored)
         self._size += 1
 
 
@@ -224,13 +237,18 @@ def _as_target(d) -> np.complex128:
 
 
 def cklms_predict(state: CklmsState, z) -> complex:
-    """Kernel expansion output sum_k a(k) kappa(z, z(k)); 0 for an empty dictionary."""
-    m = state.dictionary.size
-    if m == 0:
-        return 0j
+    """Kernel expansion output sum_k a(k) kappa(z, z(k)); 0 for an empty dictionary.
+
+    The query is validated as in ``cklms_step`` even when the dictionary is
+    empty. Raises ArithmeticError on non-finite components and ValueError on
+    a shape that does not match the stored centers.
+    """
     zv = _as_sample_vector(z)
-    kvec = kernel_vector(zv, state.dictionary.centers, state.kernel)
-    return complex(np.dot(state.dictionary.coefficients, kvec))
+    dictionary = state.dictionary
+    if dictionary.size == 0:
+        return 0j
+    kvec = kernel_vector(zv, dictionary.centers, state.kernel, dictionary.squares)
+    return complex(np.dot(dictionary.coefficients, kvec))
 
 
 def cklms_step(state: CklmsState, z, d) -> tuple:
@@ -250,7 +268,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         error = dv
         admitted = True
     else:
-        kvec = kernel_vector(zv, dictionary.centers, state.kernel)
+        kvec = kernel_vector(zv, dictionary.centers, state.kernel, dictionary.squares)
         prediction = np.dot(dictionary.coefficients, kvec)
         error = dv - prediction
         distance_sq = kzz + dictionary.self_kernels - 2.0 * kvec.real

@@ -6,20 +6,26 @@ used as a diagnostic swap-in. It also builds Gram matrices, checks positive
 semidefiniteness spectrally, and computes squared RKHS distances between
 feature-space images of points.
 
-Every kernel value comes from one function, ``kernel_matrix(Z, C, spec)``,
-which writes each family's formula once. ``eval_complex_gaussian``,
+Every kernel value but the kernel filter's dictionary rows (see below)
+comes from one function, ``kernel_matrix(Z, C, spec)``, which writes each
+family's formula once. ``eval_complex_gaussian``,
 ``eval_real_gaussian``, ``kernel_value``, ``kernel_vector`` and ``gram``
 validate their arguments and return the scalar, the row or the matrix of a
 single ``kernel_matrix`` call. Only ``self_kernel`` keeps closed forms of its
 own, because the filters call it on every step and it is O(nu).
 
 ``kernel_matrix`` evaluates the Gaussian exponents in the difference form
-``sum_i (z_i - conj(c_i))**2``. The expanded form
-``z.z - 2 conj(c).z + conj(c).conj(c)`` is faster with cached per-center
-terms, but it rounds differently: exact identities such as
-``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0`` then
-hold only to rounding. The real family keeps its own real-arithmetic branch,
-so its values are not a by-product of the complex formula and the
+``sum_i (z_i - conj(c_i))**2``. The kernel filter instead passes
+``kernel_vector`` the per-center squares ``c.c`` that its dictionary caches
+when a center is admitted, and then gets the row in the expanded form
+``z.z - 2 conj(c).z + conj(c).conj(c)`` of ``_factored_row``: one
+matrix-vector product over the stored centers plus one ``exp`` per center,
+where the difference form builds and reduces an (m, nu) array every step.
+``kernel_matrix`` and its views keep the difference form because the
+expanded form rounds differently: exact identities such as
+``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
+hold only to rounding in it. The real family keeps its own real-arithmetic
+branch, so its values are not a by-product of the complex formula and the
 real-input restriction check compares two independent computations.
 
 Conventions
@@ -117,8 +123,9 @@ def _require_real(v: np.ndarray, name: str):
 def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
     """Evaluate K[i, j] = kappa(Z[i], C[j]) for every pair of rows.
 
-    This is the only place the kernel formulas are written out, apart from
-    the closed forms of kappa(z, z) in ``self_kernel``; the scalar, vector
+    This is the only place the kernel formulas are written out in the
+    difference form; ``self_kernel`` has closed forms of kappa(z, z) and
+    ``_factored_row`` the expanded form the filter uses. The scalar, vector
     and Gram helpers are views of one call.
 
     Parameters
@@ -153,6 +160,40 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
         d = Zm.real[:, None] - Cm.real
         return np.exp(-np.add.reduce(d * d, axis=-1) / spec.sigma**2)
     return Zm @ np.conj(Cm).T
+
+
+def _factored_row(
+    z: np.ndarray, centers: np.ndarray, squares: np.ndarray, spec: KernelSpec
+) -> np.ndarray:
+    """Row kappa(z, centers[k]) in the expanded form over cached squares.
+
+    ``z`` is a validated (nu,) complex vector, ``centers`` an (m, nu) complex
+    array and ``squares[k] == sum_i centers[k, i]**2``. One matrix-vector
+    product ``g = centers @ conj(z)`` serves every family. With ``w = conj(z)``,
+    ``conj(kappa) = exp(-(w.w - 2 g + squares) / sigma**2)`` for the complex
+    Gaussian, ``kappa = exp(-(x.x - 2 Re g + Re squares) / sigma**2)`` for the
+    real Gaussian on ``x = Re z``, and ``kappa = conj(g)`` for the linear
+    kernel. The result agrees with ``kernel_matrix(z[None], centers, spec)[0]``
+    to rounding, and has its dtype.
+    """
+    w = np.conj(z)
+    # einsum, not centers @ w: matmul is a BLAS GEMV, which OpenBLAS spreads over all cores
+    # from about a thousand centers on when its thread count is not pinned, nearly doubling
+    # the CPU time of a step without shortening it; einsum runs on the calling thread
+    g = np.einsum("ij,j->i", centers, w)
+    if spec.family == LINEAR:
+        return np.conjugate(g, out=g)
+    if spec.family == REAL_GAUSSIAN:
+        x = z.real
+        return np.exp((x @ x - 2.0 * g.real + squares.real) / -spec.sigma**2)
+    # g is a fresh (m,) array: the exponent and its exp are computed in place, with no
+    # further (m,) temporaries
+    g *= -2.0
+    g += np.add.reduce(w * w)
+    g += squares
+    np.divide(g, -spec.sigma**2, out=g)
+    np.exp(g, out=g)
+    return np.conjugate(g, out=g)
 
 
 def _pair_value(z, w, spec: KernelSpec):
@@ -206,11 +247,12 @@ def kernel_value(z, w, spec: KernelSpec) -> complex:
     return complex(_pair_value(z, w, spec))
 
 
-def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.ndarray:
     """Evaluate kappa(z, c) against every row of a center matrix.
 
-    This is the hot-loop primitive of the kernel filters: one call per
-    filtering step replaces a Python loop over stored centers.
+    This is the hot-loop primitive of the kernel filters: ``cklms_step`` and
+    ``cklms_predict`` make one call per step over the whole dictionary,
+    passing the per-center squares the dictionary caches.
 
     Parameters
     ----------
@@ -219,12 +261,18 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
     centers : ndarray, shape (m, nu)
         Stored centers, one per row.
     spec : KernelSpec
+    squares : ndarray of complex, shape (m,), optional
+        ``sum_i centers[k, i]**2`` for every center. When given, the row is
+        evaluated in the expanded form of ``_factored_row`` (one
+        matrix-vector product plus one ``exp`` per center), which equals the
+        difference form to rounding.
 
     Returns
     -------
     ndarray of complex, shape (m,)
-        ``[kappa(z, centers[0]), ..., kappa(z, centers[m-1])]``, the single
-        row of ``kernel_matrix(z[None, :], centers, spec)``.
+        ``[kappa(z, centers[0]), ..., kappa(z, centers[m-1])]``. Without
+        ``squares`` it is bit for bit the single row of
+        ``kernel_matrix(z[None, :], centers, spec)``.
     """
     zv = _as_vector(z)
     c = np.asarray(centers, dtype=np.complex128)
@@ -235,7 +283,14 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if spec.family == REAL_GAUSSIAN:
         _require_real(zv, "z")
         _require_real(c, "centers")
-    return np.asarray(kernel_matrix(zv[None], c, spec)[0], dtype=np.complex128)
+    if squares is None:
+        row = kernel_matrix(zv[None], c, spec)[0]
+    else:
+        sq = np.asarray(squares, dtype=np.complex128)
+        if sq.shape != c.shape[:1]:
+            raise ValueError(f"squares must have shape ({c.shape[0]},), got {sq.shape}")
+        row = _factored_row(zv, c, sq, spec)
+    return np.asarray(row, dtype=np.complex128)
 
 
 def self_kernel(z, spec: KernelSpec) -> float:

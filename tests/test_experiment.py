@@ -142,6 +142,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unique"):
             load_config_file(path)
 
+    def test_keys_beside_experiment_list_rejected(self, tmp_path):
+        """A key next to "experiments" is refused, not silently ignored."""
+        path = tmp_path / "stray.json"
+        path.write_text(
+            json.dumps({"experiments": [tiny_doc(mc_runs=1)], "mc_runs": 50, "typo": 1})
+        )
+        with pytest.raises(ConfigError, match=r"^mc_runs: unknown field$"):
+            load_config_file(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         """A file that is not JSON is a config error naming the file."""
         path = tmp_path / "broken.json"

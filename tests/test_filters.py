@@ -6,7 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ckaf.channel import (
+    ChannelConfig,
+    EmbeddingConfig,
+    SignalConfig,
+    apply_channel,
+    build_dataset,
+    generate_input,
+)
 from ckaf.filters import (
     CklmsConfig,
     CklmsState,
@@ -23,7 +33,14 @@ from ckaf.filters import (
     snapshot_state,
     wl_nclms_step,
 )
-from ckaf.kernels import KernelSpec, complex_gaussian, linear_kernel
+from ckaf.kernels import (
+    KernelSpec,
+    complex_gaussian,
+    kernel_matrix,
+    kernel_vector,
+    linear_kernel,
+    self_kernel,
+)
 
 
 def random_samples(rng, n, dim, scale=0.5):
@@ -33,17 +50,18 @@ def random_samples(rng, n, dim, scale=0.5):
 
 
 def brute_force_cklms(samples, sigma, mu, delta1, delta2):
-    """Scalar-input reference in plain Python complex arithmetic."""
+    """Reference in plain Python complex arithmetic; each input is a scalar or a vector."""
     centers, coeffs = [], []
 
     def kappa(z, c):
-        return cmath.exp(-((z - c.conjugate()) ** 2) / sigma**2)
+        return cmath.exp(-sum((zi - ci.conjugate()) ** 2 for zi, ci in zip(z, c)) / sigma**2)
 
     def selfk(z):
-        return math.exp(4.0 * z.imag**2 / sigma**2)
+        return math.exp(4.0 * sum(zi.imag**2 for zi in z) / sigma**2)
 
     trace = []
     for z, d in samples:
+        z = [complex(zi) for zi in np.atleast_1d(z)]
         pred = sum(a * kappa(z, c) for c, a in zip(centers, coeffs))
         e = d - pred
         if not centers:
@@ -51,7 +69,7 @@ def brute_force_cklms(samples, sigma, mu, delta1, delta2):
         else:
             dis_sq = min(selfk(z) + selfk(c) - 2.0 * kappa(z, c).real for c in centers)
             dis = math.sqrt(max(dis_sq, 0.0))
-            admitted = dis >= delta1 and abs(e) >= delta2
+            admitted = cmath.isfinite(e) and dis >= delta1 and abs(e) >= delta2
         if admitted:
             centers.append(z)
             coeffs.append(mu * e)
@@ -93,8 +111,60 @@ class TestCklmsPredict:
         """Query dimension must match the stored centers."""
         state = new_cklms_state(complex_gaussian(1.0), mu=1.0)
         state.dictionary.append(np.array([1 + 0j, 0j]), 1 + 0j, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"centers must have shape \(m, 1\), got \(1, 2\)"):
             cklms_predict(state, [1 + 0j])
+
+    @pytest.mark.parametrize(
+        "query, error",
+        [([np.nan + 0j], ArithmeticError), ([[0.1 + 0j], [0.2 + 0j]], ValueError)],
+        ids=["nan", "2-D"],
+    )
+    def test_query_validated_on_empty_dictionary(self, query, error):
+        """An empty dictionary refuses the queries cklms_step refuses."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=1.0)
+        with pytest.raises(error):
+            cklms_predict(state, query)
+        with pytest.raises(error):
+            cklms_step(state, query, 0j)
+
+
+class TestKernelRow:
+    @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        # sizes on both sides of the buffer doublings at 64 and 128 centers
+        m=st.sampled_from([1, 63, 64, 65, 128, 129]),
+        dim=st.integers(1, 6),
+        sigma=st.floats(1.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cached_squares_match_difference_form_and_survive_snapshot(
+        self, family, m, dim, sigma, seed
+    ):
+        """The row over the dictionary's cached squares is kernel_matrix's row to 1e-13,
+        and a restored snapshot gives it bit for bit."""
+        spec = KernelSpec(family, sigma)
+        rng = np.random.default_rng(seed)
+        # components in [-1, 1] with dim <= 6 and sigma >= 1 keep every value finite
+        points = rng.uniform(-1, 1, (m + 1, dim)) + 1j * rng.uniform(-1, 1, (m + 1, dim))
+        if family == "real-gaussian":
+            points = points.real.astype(np.complex128)
+        z, centers = points[0], points[1:]
+        state = new_cklms_state(spec, mu=1.0)
+        for c in centers:
+            state.dictionary.append(c, 1 + 0j, self_kernel(c, spec))
+        dictionary = state.dictionary
+        row = kernel_vector(z, dictionary.centers, spec, dictionary.squares)
+        expected = kernel_matrix(z[None], centers, spec)[0]
+        assert row.dtype == np.complex128
+        if family == "linear":
+            # linear values can cancel to near zero, so the scale is the size of the terms
+            scale = np.linalg.norm(z) * np.linalg.norm(centers, axis=1)
+        else:
+            scale = np.abs(expected)
+        assert np.all(np.abs(row - expected) <= 1e-13 * scale)
+        restored = restore_state(json.loads(json.dumps(snapshot_state(state)))).dictionary
+        assert kernel_vector(z, restored.centers, spec, restored.squares).tobytes() == row.tobytes()
 
 
 class TestCklmsStep:
@@ -359,6 +429,24 @@ class TestRunFilter:
             errors * np.exp(-np.sum((z[None, :] - np.conj(centers)) ** 2, axis=1) / sigma**2)
         )
         assert abs(cklms_predict(run.state, z) - closed_form) < 1e-12
+
+    def test_converged_trajectory_matches_difference_form(self):
+        """On a converged run, admissions and sizes equal the reference loop's; errors to 1e-10."""
+        s = generate_input(SignalConfig(rho=0.1, n_samples=1005, seed=5, amplitude=0.25))
+        r = apply_channel(s, ChannelConfig(noise_stddev=0.14, seed=6))
+        dataset = build_dataset(r, s, EmbeddingConfig(filter_length=5, delay=2))
+        samples = list(zip(dataset.inputs, dataset.targets))
+        sigma, mu, d1, d2 = 5.0, 1.0, 0.3, 0.05
+        config = CklmsConfig(kernel=complex_gaussian(sigma), mu=mu, novelty=NoveltyConfig(d1, d2))
+        run = run_filter(samples, "cklms", config)
+        expected = brute_force_cklms(samples, sigma, mu, d1, d2)
+        assert [(rec.admitted, rec.dict_size) for rec in run.records] == [
+            (admitted, size) for _, _, admitted, size in expected
+        ]
+        final = run.state.dictionary.size
+        assert 10 < final < len(samples) // 2, f"setup: final size {final} is not a sparse run"
+        for i, (rec, (_, e, _, _)) in enumerate(zip(run.records, expected)):
+            assert abs(rec.error - e) <= 1e-10 * abs(e), f"step {i}: {rec.error} vs {e}"
 
     def test_nclms_scale_invariance(self):
         """Scaling inputs by a positive constant leaves predictions unchanged at eps = 0."""

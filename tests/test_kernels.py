@@ -203,6 +203,10 @@ class TestKernelVector:
         """Center matrices with the wrong width are refused."""
         with pytest.raises(ValueError, match="centers"):
             kernel_vector([1j, 0], np.zeros((3, 3), dtype=complex), complex_gaussian(1.0))
+        with pytest.raises(ValueError, match="squares"):
+            kernel_vector(
+                [1j, 0], np.zeros((3, 2), dtype=complex), complex_gaussian(1.0), np.zeros(2)
+            )
 
 
 class TestKernelMatrix:
