@@ -22,19 +22,24 @@ The script runs two configurations:
 import numpy as np
 
 from ckaf.channel import ChannelConfig, EmbeddingConfig, SignalConfig
-from ckaf.experiment import AlgorithmConfig, ExperimentConfig, run_experiment
+from ckaf.experiment import (
+    STEADY_STATE_WINDOW,
+    AlgorithmConfig,
+    ExperimentConfig,
+    run_experiment,
+)
 
 CIRCULAR_RHO = float(np.sqrt(2.0) / 2.0)
 
 
-def summarize(result, head=200, tail=200):
+def summarize(result, head=200):
     for label, curve in result.curves.items():
         start = 10.0 * np.log10(np.mean(curve.mse[:head]))
-        end = 10.0 * np.log10(np.mean(curve.mse[tail:]))
+        end = curve.steady_state_db
         trend = "improved" if end < start else "diverged"
         line = (
             f"  {label:<9} first {head}: {start:+8.2f} dB   "
-            f"last {tail}: {end:+8.2f} dB   {trend}"
+            f"last {STEADY_STATE_WINDOW}: {end:+8.2f} dB   {trend}"
         )
         if curve.final_dict_sizes is not None:
             line += f"   dictionary {int(np.max(curve.final_dict_sizes))}/{curve.mse.shape[0]}"

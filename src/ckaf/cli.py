@@ -140,8 +140,7 @@ def _cmd_equalize(args) -> int:
         snr_text = "noise-free" if snr is None else f"SNR {snr:.2f} dB"
         print(f"[{cfg.name}] {snr_text}; wrote {destination}")
         for label, curve in result.curves.items():
-            tail = curve.mse_db[-min(500, curve.mse_db.shape[0]):]
-            line = f"[{cfg.name}]   {label}: steady-state MSE {np.mean(tail):.2f} dB"
+            line = f"[{cfg.name}]   {label}: steady-state MSE {curve.steady_state_db:.2f} dB"
             if curve.final_dict_sizes is not None:
                 line += f", dictionary size {int(np.max(curve.final_dict_sizes))} max"
             print(line)

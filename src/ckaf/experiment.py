@@ -3,8 +3,13 @@
 An experiment runs one synthetic equalization setup (source, channel, delay
 embedding) through a list of adaptive filters, repeats it over independent
 Monte-Carlo realizations, and averages the squared-error trajectories
-pointwise. Within a run every algorithm consumes the identical dataset
-realization, so curves are directly comparable.
+pointwise. ``run_experiment`` is one loop over runs and, inside it, over
+algorithms: every algorithm of a run consumes the identical dataset
+realization, so curves are directly comparable, and each run's squared
+errors and dictionary sizes go straight into per-label running sums.
+``LearningCurve.steady_state_db`` is the one steady-state statistic: the dB
+value of the mean MSE over the last ``STEADY_STATE_WINDOW`` (500)
+iterations.
 
 Seeding contract: run r draws its signal and noise seeds from
 ``numpy.random.SeedSequence((master_seed, r))``, making runs independent,
@@ -48,6 +53,7 @@ from ckaf.filters import ALGORITHMS, CklmsConfig, LinearLmsConfig, NoveltyConfig
 from ckaf.kernels import KernelSpec
 
 MSE_FLOOR = 1e-12
+STEADY_STATE_WINDOW = 500
 
 
 class ConfigError(ValueError):
@@ -82,6 +88,7 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.label is None:
             object.__setattr__(self, "label", self.algorithm)
+        self.filter_config()  # range checks of mu, kernel, sigma, thresholds, epsilon
 
     def filter_config(self):
         if self.algorithm == "cklms":
@@ -104,18 +111,17 @@ class ExperimentConfig:
     algorithms: tuple[AlgorithmConfig, ...]
     mc_runs: int
     master_seed: int
-    moving_average: int = 0
 
     def __post_init__(self):
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"algorithm labels must be unique, got {labels}")
-        if self.moving_average < 0:
-            raise ValueError("moving_average must be nonnegative")
 
 
 @dataclass
@@ -132,6 +138,12 @@ class LearningCurve:
         """10 log10 of the MSE with zeros clamped to the 1e-12 floor."""
         return 10.0 * np.log10(np.maximum(self.mse, MSE_FLOOR))
 
+    @property
+    def steady_state_db(self) -> float:
+        """10 log10 of the mean MSE over the last STEADY_STATE_WINDOW iterations, floored."""
+        tail = self.mse[-STEADY_STATE_WINDOW:]
+        return float(10.0 * np.log10(np.maximum(np.mean(tail), MSE_FLOOR)))
+
 
 @dataclass
 class ExperimentResult:
@@ -145,30 +157,53 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all Monte-Carlo runs and average learning curves pointwise.
 
-    Runs execute serially in run-index order; each run seeds itself from
+    Runs execute serially in run-index order and every algorithm of a run
+    consumes that run's dataset. Each run seeds itself from
     ``(master_seed, run_index)``, so results do not depend on that order.
+    Per-label running sums keep memory independent of the run count.
     Failures are re-raised with the run index and algorithm label attached.
     """
     started = time.perf_counter()
-    per_run = (_single_run(cfg, r) for r in range(cfg.mc_runs))
-    curves, signal_power, noise_power = _aggregate(cfg, per_run)
+    mse_sums = {}
+    dict_sums = {}
+    final_sizes = {a.label: [] for a in cfg.algorithms if a.algorithm == "cklms"}
+    signal_power = noise_power = 0.0
+    for r in range(cfg.mc_runs):
+        samples, run_signal_power, run_noise_power = _realization(cfg, r)
+        signal_power += run_signal_power
+        noise_power += run_noise_power
+        for alg in cfg.algorithms:
+            try:
+                run = run_filter(samples, alg.algorithm, alg.filter_config())
+            except Exception as exc:
+                raise RuntimeError(f"run {r}, algorithm {alg.label}: {exc}") from exc
+            mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + run.squared_errors()
+            if alg.label in final_sizes:
+                sizes = run.dict_sizes()
+                dict_sums[alg.label] = dict_sums.get(alg.label, 0.0) + sizes
+                final_sizes[alg.label].append(int(sizes[-1]))
 
+    curves = {}
+    for alg in cfg.algorithms:
+        curve = LearningCurve(algorithm=alg.label, mse=mse_sums[alg.label] / cfg.mc_runs)
+        if alg.label in final_sizes:
+            curve.dict_size_curve = dict_sums[alg.label] / cfg.mc_runs
+            curve.final_dict_sizes = np.array(final_sizes[alg.label], dtype=np.int64)
+        curves[alg.label] = curve
     snr_db = None
     if cfg.channel.noise_stddev > 0 and noise_power > 0:
         snr_db = float(10.0 * np.log10(signal_power / noise_power))
-    wall = time.perf_counter() - started
-    n_samples = next(iter(curves.values())).mse.shape[0]
     metadata = {
         "mc_runs": cfg.mc_runs,
-        "curve_length": int(n_samples),
+        "curve_length": int(curves[cfg.algorithms[0].label].mse.shape[0]),
         "measured_snr_db": snr_db,
-        "wall_clock_seconds": wall,
+        "wall_clock_seconds": time.perf_counter() - started,
     }
     return ExperimentResult(config=cfg, curves=curves, metadata=metadata)
 
 
-def _single_run(cfg: ExperimentConfig, run_index: int) -> tuple:
-    """One Monte-Carlo realization: shared dataset, one trace per algorithm."""
+def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:
+    """Run ``run_index``'s (input, target) pairs plus its signal and noise powers."""
     try:
         seeds = np.random.SeedSequence((cfg.master_seed, run_index)).generate_state(2)
         signal_cfg = replace(cfg.signal, seed=int(seeds[0]))
@@ -184,58 +219,7 @@ def _single_run(cfg: ExperimentConfig, run_index: int) -> tuple:
         dataset = build_dataset(r, s, cfg.embedding)
     except Exception as exc:
         raise RuntimeError(f"run {run_index}: {exc}") from exc
-    samples = list(zip(dataset.inputs, dataset.targets))
-    traces = {}
-    for alg in cfg.algorithms:
-        try:
-            run = run_filter(samples, alg.algorithm, alg.filter_config())
-        except Exception as exc:
-            raise RuntimeError(f"run {run_index}, algorithm {alg.label}: {exc}") from exc
-        dict_sizes = run.dict_sizes() if alg.algorithm == "cklms" else None
-        traces[alg.label] = (run.squared_errors(), dict_sizes)
-    return traces, signal_power, noise_power
-
-
-def _aggregate(cfg: ExperimentConfig, per_run) -> tuple:
-    mse_sums = {}
-    dict_sums = {}
-    final_sizes = {a.label: [] for a in cfg.algorithms if a.algorithm == "cklms"}
-    signal_power = 0.0
-    noise_power = 0.0
-    count = 0
-    for traces, sig_p, noi_p in per_run:
-        for label, (squared, dict_sizes) in traces.items():
-            if label not in mse_sums:
-                mse_sums[label] = np.zeros_like(squared)
-            mse_sums[label] += squared
-            if dict_sizes is not None:
-                if label not in dict_sums:
-                    dict_sums[label] = np.zeros(dict_sizes.shape[0])
-                dict_sums[label] += dict_sizes
-                final_sizes[label].append(int(dict_sizes[-1]))
-        signal_power += sig_p
-        noise_power += noi_p
-        count += 1
-    curves = {}
-    for alg in cfg.algorithms:
-        mse = mse_sums[alg.label] / count
-        if cfg.moving_average > 1:
-            mse = _trailing_mean(mse, cfg.moving_average)
-        curve = LearningCurve(algorithm=alg.label, mse=mse)
-        if alg.label in dict_sums:
-            curve.dict_size_curve = dict_sums[alg.label] / count
-            curve.final_dict_sizes = np.array(final_sizes[alg.label], dtype=np.int64)
-        curves[alg.label] = curve
-    return curves, signal_power, noise_power
-
-
-def _trailing_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Length-preserving trailing average; early points use shorter windows."""
-    sums = np.cumsum(values)
-    out = np.empty_like(values)
-    out[:window] = sums[:window] / np.arange(1, window + 1)
-    out[window:] = (sums[window:] - sums[:-window]) / window
-    return out
+    return list(zip(dataset.inputs, dataset.targets)), signal_power, noise_power
 
 
 def emit_results(result: ExperimentResult, fmt: str, path) -> None:

@@ -291,10 +291,13 @@ def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
 
     ``d_hat = <z, w> = sum_i z_i conj(w_i)`` and the weight update is
     ``w <- w + mu / (eps + ||z||^2) * conj(e) * z``. Mutates and returns the
-    state together with the step record.
+    state together with the step record. Raises ValueError on a widely
+    linear state (``g`` set), which belongs to ``wl_nclms_step``.
     """
     zv = _as_sample_vector(z)
     dv = _as_target(d)
+    if state.g is not None:
+        raise ValueError("state has a conjugate weight vector; use wl_nclms_step")
     return _normalized_lms_step(state, ((zv, state.w),), dv, mu)
 
 
@@ -353,6 +356,10 @@ class CklmsConfig:
     mu: float
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
 
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
+
 
 @dataclass(frozen=True)
 class LinearLmsConfig:
@@ -360,6 +367,12 @@ class LinearLmsConfig:
 
     mu: float
     epsilon: float = 1e-6
+
+    def __post_init__(self):
+        if not self.mu > 0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 class FilterRun(NamedTuple):

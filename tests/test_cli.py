@@ -66,6 +66,19 @@ class TestEqualize:
         assert main(["equalize", "--config", str(bad)]) == 2
         assert "mc_runs" in capsys.readouterr().err
 
+    def test_bad_algorithm_setting_fails_before_any_run(self, capsys, tmp_path):
+        """A bad setting in a later experiment exits 2 before anything is written."""
+        bad = json.loads(json.dumps(TINY_CONFIG))
+        bad["name"] = "bad"
+        bad["algorithms"][0]["sigma"] = 0
+        config = tmp_path / "two.json"
+        config.write_text(json.dumps({"experiments": [TINY_CONFIG, bad]}))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "experiments[1].algorithms[0]: sigma must be positive" in err
+        assert not out.exists()
+
     def test_writes_csv_per_experiment(self, capsys, tiny_config_file, tmp_path):
         """A successful run writes <name>.csv into --out."""
         out = tmp_path / "results"

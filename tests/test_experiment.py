@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,22 @@ from ckaf.experiment import (
     AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
+    LearningCurve,
     config_from_dict,
     config_to_dict,
     emit_results,
     load_config_file,
     run_experiment,
 )
-from ckaf.channel import ChannelConfig, EmbeddingConfig, SignalConfig
+from ckaf.channel import (
+    ChannelConfig,
+    EmbeddingConfig,
+    SignalConfig,
+    apply_channel,
+    build_dataset,
+    generate_input,
+)
+from ckaf.filters import run_filter
 
 CIRCULAR_RHO = 0.7071067811865476
 SHIPPED_CONFIGS = [default_config_path()] + sorted(
@@ -89,8 +99,9 @@ class TestConfigParsing:
         """Unrecognized keys are reported rather than ignored."""
         with pytest.raises(ConfigError, match=r"experiment\.typo"):
             config_from_dict(tiny_doc(typo=1))
-        with pytest.raises(ConfigError, match=r"^experiment\.n_workers: unknown field$"):
-            config_from_dict(tiny_doc(n_workers=1))
+        for retired in ("n_workers", "moving_average"):
+            with pytest.raises(ConfigError, match=rf"^experiment\.{retired}: unknown field$"):
+                config_from_dict(tiny_doc(**{retired: 1}))
         doc = tiny_doc()
         doc["signal"]["sigma"] = 1.0
         with pytest.raises(ConfigError, match=r"experiment\.signal\.sigma"):
@@ -104,6 +115,22 @@ class TestConfigParsing:
             config_from_dict(doc)
         with pytest.raises(ConfigError, match="mc_runs"):
             config_from_dict(tiny_doc(mc_runs=0))
+        with pytest.raises(ConfigError, match=r"^experiment: master_seed must be nonnegative$"):
+            config_from_dict(tiny_doc(master_seed=-1))
+        # per-algorithm ranges fail when the config is built, not in run 0
+        for index, setting, message in [
+            (1, {"sigma": 0}, "sigma must be positive"),
+            (1, {"kernel": "laplacian"}, "unknown kernel family"),
+            (1, {"delta1": -0.1}, "novelty thresholds must be nonnegative"),
+            (1, {"delta2": -0.1}, "novelty thresholds must be nonnegative"),
+            (1, {"mu": 0}, "mu must be positive"),
+            (0, {"mu": -1}, "mu must be positive"),
+            (0, {"epsilon": -1e-6}, "epsilon must be nonnegative"),
+        ]:
+            doc = tiny_doc()
+            doc["algorithms"][index].update(setting)
+            with pytest.raises(ConfigError, match=rf"^experiment\.algorithms\[{index}\]: {message}"):
+                config_from_dict(doc)
 
     def test_malformed_complex_pair_rejected(self):
         """Channel taps must be [real, imag] pairs."""
@@ -220,15 +247,30 @@ class TestRunExperiment:
         clean = config_from_dict(tiny_doc(channel={"noise_stddev": 0.0}))
         assert run_experiment(clean).metadata["measured_snr_db"] is None
 
-    def test_moving_average_preserves_length(self):
-        """The optional trailing-window smoother keeps curve length."""
-        raw = run_experiment(config_from_dict(tiny_doc())).curves["nclms"].mse
-        smooth = (
-            run_experiment(config_from_dict(tiny_doc(moving_average=4))).curves["nclms"].mse
-        )
-        assert smooth.shape == raw.shape
-        assert smooth[0] == raw[0]
-        assert smooth[-1] == pytest.approx(np.mean(raw[-4:]), rel=1e-12)
+    def test_curves_average_independently_seeded_runs(self):
+        """Each curve is the run-order mean of runs seeded from (master_seed, r)."""
+        cfg = config_from_dict(tiny_doc(mc_runs=3))
+        result = run_experiment(cfg)
+        sums = {}
+        for r in range(cfg.mc_runs):
+            signal_seed, noise_seed = np.random.SeedSequence((cfg.master_seed, r)).generate_state(2)
+            s = generate_input(replace(cfg.signal, seed=int(signal_seed)))
+            received = apply_channel(s, replace(cfg.channel, seed=int(noise_seed)))
+            dataset = build_dataset(received, s, cfg.embedding)
+            samples = list(zip(dataset.inputs, dataset.targets))
+            for alg in cfg.algorithms:
+                run = run_filter(samples, alg.algorithm, alg.filter_config())
+                sums[alg.label] = sums.get(alg.label, 0.0) + run.squared_errors()
+        for label, total in sums.items():
+            assert np.array_equal(result.curves[label].mse, total / cfg.mc_runs)
+
+    def test_steady_state_db_is_acceptance_statistic(self):
+        """steady_state_db is 10 log10 of the mean MSE over the last 500 iterations."""
+        curve = LearningCurve("x", mse=np.linspace(1.0, 3.0, 1200) ** 2)
+        assert curve.steady_state_db == 10.0 * np.log10(np.mean(curve.mse[-500:]))
+        short = LearningCurve("x", mse=np.array([0.5, 2.0]))
+        assert short.steady_state_db == pytest.approx(10.0 * np.log10(1.25), rel=1e-15)
+        assert LearningCurve("x", mse=np.zeros(600)).steady_state_db == -120.0
 
     def test_run_errors_carry_run_index(self):
         """Failures inside a Monte-Carlo run name the run."""

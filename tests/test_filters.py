@@ -359,6 +359,13 @@ class TestWlNclmsStep:
         with pytest.raises(ValueError):
             wl_nclms_step(state, [1 + 0j, 0j], 0j, mu=0.1)
 
+    def test_strictly_linear_update_refuses_conjugate_weights(self):
+        """A widely linear state cannot run the strictly linear update."""
+        state = new_linear_state(2, widely_linear=True)
+        with pytest.raises(ValueError, match="conjugate weight vector"):
+            nclms_step(state, [1 + 0j, 0j], 1 + 0j, mu=0.1)
+        assert not state.w.any() and not state.g.any()
+
 
 class TestRunFilter:
     def test_single_sample_gives_one_record(self):
