@@ -24,6 +24,7 @@ fall inside the observed sequence.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,8 @@ class SignalConfig:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +61,10 @@ class ChannelConfig:
     poly_coeffs: tuple[complex, ...] = DEFAULT_POLY_COEFFS
 
     def __post_init__(self):
-        if self.noise_stddev < 0:
-            raise ValueError("noise_stddev must be nonnegative")
+        if not 0 <= self.noise_stddev < math.inf:  # refuses NaN and inf as well
+            raise ValueError(
+                f"noise_stddev must be finite and nonnegative, got {self.noise_stddev}"
+            )
         if len(self.linear_taps) == 0:
             raise ValueError("at least one linear tap is required")
 

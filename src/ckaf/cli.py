@@ -220,7 +220,7 @@ def _cmd_verify_kernel(args) -> int:
     if args.n_points < 2:
         print("error: --n-points must be at least 2", file=sys.stderr)
         return 2
-    if args.sigma <= 0:
+    if not args.sigma > 0:  # also refuses --sigma nan
         print("error: --sigma must be positive", file=sys.stderr)
         return 2
     rng = np.random.default_rng(7)

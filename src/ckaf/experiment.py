@@ -3,10 +3,14 @@
 An experiment runs one synthetic equalization setup (source, channel, delay
 embedding) through a list of adaptive filters, repeats it over independent
 Monte-Carlo realizations, and averages the squared-error trajectories
-pointwise. ``run_experiment`` is one loop over runs and, inside it, over
-algorithms: every algorithm of a run consumes the identical dataset
-realization, so curves are directly comparable, and each run's squared
-errors and dictionary sizes go straight into per-label running sums.
+pointwise. ``run_experiment`` walks the runs in blocks of ``RUN_BLOCK``
+realizations, so memory is bounded by the block, not by ``mc_runs``. Every
+algorithm of a run consumes the identical dataset realization, so curves are
+directly comparable. cklms runs on each realization through ``run_filter``
+as soon as it is generated; once the block is full, nclms and wl_nclms run
+once each, in lockstep over all of the block's runs (``run_linear_block``).
+Each run's squared errors and dictionary sizes go into per-label running
+sums in run order, so the curves do not depend on the block size.
 ``LearningCurve.steady_state_db`` is the one steady-state statistic: the dB
 value of the mean MSE over the last ``STEADY_STATE_WINDOW`` (500)
 iterations.
@@ -49,11 +53,21 @@ from ckaf.channel import (
     build_dataset,
     generate_input,
 )
-from ckaf.filters import ALGORITHMS, CklmsConfig, LinearLmsConfig, NoveltyConfig, run_filter
+from ckaf.filters import (
+    ALGORITHMS,
+    CklmsConfig,
+    FilterStepError,
+    LinearLmsConfig,
+    NoveltyConfig,
+    run_filter,
+    run_linear_block,
+)
 from ckaf.kernels import KernelSpec
 
 MSE_FLOOR = 1e-12
 STEADY_STATE_WINDOW = 500
+# Monte-Carlo runs whose linear filters advance in lockstep; bounds the (runs, N, L) block.
+RUN_BLOCK = 16
 
 
 class ConfigError(ValueError):
@@ -157,31 +171,47 @@ class ExperimentResult:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all Monte-Carlo runs and average learning curves pointwise.
 
-    Runs execute serially in run-index order and every algorithm of a run
-    consumes that run's dataset. Each run seeds itself from
-    ``(master_seed, run_index)``, so results do not depend on that order.
-    Per-label running sums keep memory independent of the run count.
-    Failures are re-raised with the run index and algorithm label attached.
+    Runs are taken in blocks of ``RUN_BLOCK`` in run-index order, and every
+    algorithm of a run consumes that run's dataset: cklms per run, the
+    linear filters once per block in lockstep. Each run seeds itself
+    from ``(master_seed, run_index)``, so results do not depend on that
+    order. Per-label running sums, added in run order, keep memory
+    independent of the run count. Failures are re-raised with the run index
+    and algorithm label attached.
     """
     started = time.perf_counter()
     mse_sums = {}
     dict_sums = {}
-    final_sizes = {a.label: [] for a in cfg.algorithms if a.algorithm == "cklms"}
+    kernel_algs = [a for a in cfg.algorithms if a.algorithm == "cklms"]
+    linear_algs = [a for a in cfg.algorithms if a.algorithm != "cklms"]
+    final_sizes = {a.label: [] for a in kernel_algs}
     signal_power = noise_power = 0.0
-    for r in range(cfg.mc_runs):
-        samples, run_signal_power, run_noise_power = _realization(cfg, r)
-        signal_power += run_signal_power
-        noise_power += run_noise_power
-        for alg in cfg.algorithms:
-            try:
-                run = run_filter(samples, alg.algorithm, alg.filter_config())
-            except Exception as exc:
-                raise RuntimeError(f"run {r}, algorithm {alg.label}: {exc}") from exc
-            mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + run.squared_errors()
-            if alg.label in final_sizes:
-                sizes = run.dict_sizes()
+    for first in range(0, cfg.mc_runs, RUN_BLOCK):
+        runs = range(first, min(first + RUN_BLOCK, cfg.mc_runs))
+        inputs = targets = None
+        for j, r in enumerate(runs):
+            run_inputs, run_targets, run_signal_power, run_noise_power = _realization(cfg, r)
+            if inputs is None:
+                inputs = np.empty((len(runs), *run_inputs.shape), dtype=np.complex128)
+                targets = np.empty((len(runs), *run_targets.shape), dtype=np.complex128)
+            inputs[j], targets[j] = run_inputs, run_targets
+            del run_inputs, run_targets  # the block rows are the only copy kept
+            signal_power += run_signal_power
+            noise_power += run_noise_power
+            for alg in kernel_algs:
+                trace, sizes = _kernel_run(inputs[j], targets[j], alg, r)
+                mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + trace
                 dict_sums[alg.label] = dict_sums.get(alg.label, 0.0) + sizes
                 final_sizes[alg.label].append(int(sizes[-1]))
+        for alg in linear_algs:
+            try:
+                squared = run_linear_block(
+                    inputs, targets, alg.algorithm, alg.filter_config()
+                ).squared_errors
+            except FilterStepError as exc:
+                raise RuntimeError(f"run {first + exc.run}, algorithm {alg.label}: {exc}") from exc
+            for trace in squared:
+                mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + trace
 
     curves = {}
     for alg in cfg.algorithms:
@@ -202,8 +232,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(config=cfg, curves=curves, metadata=metadata)
 
 
+def _kernel_run(inputs: np.ndarray, targets: np.ndarray, alg: AlgorithmConfig, run_index: int):
+    """One run's cklms squared errors and dictionary sizes, through ``run_filter``."""
+    try:
+        run = run_filter(zip(inputs, targets), alg.algorithm, alg.filter_config())
+    except Exception as exc:
+        raise RuntimeError(f"run {run_index}, algorithm {alg.label}: {exc}") from exc
+    return run.squared_errors(), run.dict_sizes()
+
+
 def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:
-    """Run ``run_index``'s (input, target) pairs plus its signal and noise powers."""
+    """Run ``run_index``'s (N, L) inputs and (N,) targets plus its signal and noise powers."""
     try:
         seeds = np.random.SeedSequence((cfg.master_seed, run_index)).generate_state(2)
         signal_cfg = replace(cfg.signal, seed=int(seeds[0]))
@@ -219,7 +258,7 @@ def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:
         dataset = build_dataset(r, s, cfg.embedding)
     except Exception as exc:
         raise RuntimeError(f"run {run_index}: {exc}") from exc
-    return list(zip(dataset.inputs, dataset.targets)), signal_power, noise_power
+    return dataset.inputs, dataset.targets, signal_power, noise_power
 
 
 def emit_results(result: ExperimentResult, fmt: str, path) -> None:

@@ -25,8 +25,19 @@ Three algorithms share one step-record interface:
     This is exactly nclms run on the augmented vector with the stacked
     weight (w, g): ``<(z, conj z), (w, g)> = <z, w> + <conj z, g>`` and
     ``||(z, conj z)||^2 = 2 ||z||^2`` because ``|conj z_i| = |z_i|``. Both
-    algorithms therefore share one update, written over a tuple of
-    (input, weight) halves.
+    algorithms therefore share one update, ``_normalized_lms_step``.
+
+The normalized LMS update works on ``(..., L)`` arrays, so one call can
+advance R independent runs at once. ``run_linear_block`` drives nclms or
+wl_nclms over a block of R realizations in lockstep: at step i one numpy
+expression updates the (R, L) weights of every run, and each run's
+predictions and weights equal, bit for bit, those of a serial
+``nclms_step``/``wl_nclms_step`` loop over it. The gains
+``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend only on
+the inputs, so ``run_linear_block`` computes them once per realization. A
+zero input with ``eps = 0`` has no defined normalized step; its gain is 0
+and the weights stay as they are. ``run_filter`` runs the linear filters as the
+one-run case of ``run_linear_block`` and keeps the per-step loop for cklms.
 
 Novelty criterion
 -----------------
@@ -46,6 +57,7 @@ State objects are mutable and updated in place; the step functions return
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -75,11 +87,16 @@ class StepRecord(NamedTuple):
 
 
 class FilterStepError(RuntimeError):
-    """A step failed; ``iteration`` carries the zero-based sample index."""
+    """A step failed; ``iteration`` carries the zero-based sample index.
 
-    def __init__(self, iteration: int, message: str):
+    ``run`` is the failing realization's row in a ``run_linear_block`` call,
+    and None for a single-run failure.
+    """
+
+    def __init__(self, iteration: int, message: str, run: Optional[int] = None):
         super().__init__(f"step {iteration}: {message}")
         self.iteration = iteration
+        self.run = run
 
 
 @dataclass(frozen=True)
@@ -90,8 +107,10 @@ class NoveltyConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        if self.delta1 < 0 or self.delta2 < 0:
-            raise ValueError("novelty thresholds must be nonnegative")
+        for name in ("delta1", "delta2"):
+            value = getattr(self, name)
+            if not value >= 0:  # also refuses NaN, which every comparison lets through
+                raise ValueError(f"novelty thresholds must be nonnegative, got {name}={value}")
 
 
 class Dictionary:
@@ -191,8 +210,7 @@ class CklmsState:
     iteration: int = 0
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        _require_step_size(self.mu)
 
 
 @dataclass
@@ -204,8 +222,13 @@ class LinearFilterState:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+
+
+def _require_step_size(mu: float) -> None:
+    if not 0 < mu < math.inf:  # an infinite step turns every weight into NaN
+        raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
 def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None) -> CklmsState:
@@ -294,11 +317,10 @@ def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     state together with the step record. Raises ValueError on a widely
     linear state (``g`` set), which belongs to ``wl_nclms_step``.
     """
-    zv = _as_sample_vector(z)
-    dv = _as_target(d)
-    if state.g is not None:
-        raise ValueError("state has a conjugate weight vector; use wl_nclms_step")
-    return _normalized_lms_step(state, ((zv, state.w),), dv, mu)
+    zv, dv = _linear_sample(state, z, d, widely_linear=False)
+    gain = _gains(zv, mu, state.epsilon, widely_linear=False)
+    prediction, error = _normalized_lms_step(zv, dv, gain, state.w)
+    return state, _step_record(prediction, error, True, 0)
 
 
 def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
@@ -309,33 +331,63 @@ def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     which is the plain normalized LMS step written for the stacked vector
     (z, conj(z)).
     """
+    zv, dv = _linear_sample(state, z, d, widely_linear=True)
+    gain = _gains(zv, mu, state.epsilon, widely_linear=True)
+    prediction, error = _normalized_lms_step(zv, dv, gain, state.w, state.g)
+    return state, _step_record(prediction, error, True, 0)
+
+
+def _linear_sample(state: LinearFilterState, z, d, widely_linear: bool) -> tuple:
+    """Validated (input, target) for one linear step on ``state``."""
     zv = _as_sample_vector(z)
     dv = _as_target(d)
-    if state.g is None:
-        raise ValueError("state has no conjugate weight vector; use new_linear_state(dim, widely_linear=True)")
-    return _normalized_lms_step(state, ((zv, state.w), (np.conj(zv), state.g)), dv, mu)
+    if widely_linear and state.g is None:
+        raise ValueError(
+            "state has no conjugate weight vector; use new_linear_state(dim, widely_linear=True)"
+        )
+    if not widely_linear and state.g is not None:
+        raise ValueError("state has a conjugate weight vector; use wl_nclms_step")
+    _require_length(zv, state.w.shape[0])
+    return zv, dv
 
 
-def _normalized_lms_step(state: LinearFilterState, halves: tuple, dv, mu: float) -> tuple:
-    """Normalized LMS on the stacked input of ``halves``, a tuple of (x, w) pairs.
+def _require_length(zv: np.ndarray, dim: int) -> None:
+    if zv.shape[0] != dim:
+        raise ValueError(f"input has {zv.shape[0]} components, filter expects {dim}")
 
-    The first half is the raw input ``z``; a second half, if present, is
-    ``conj(z)``. Every half has the norm of ``z``, so the stacked squared
-    norm is ``len(halves) * ||z||^2``. Weights are updated in place.
+
+def _gains(z: np.ndarray, mu: float, epsilon: float, widely_linear: bool) -> np.ndarray:
+    """``mu / (eps + h ||z||^2)`` over the last axis of ``z``; h = 2 for (z, conj z).
+
+    A zero normalization (a zero input with eps = 0) gets gain 0: the
+    update direction is the zero vector, so the weights are left alone.
     """
-    (z, w), *rest = halves
-    if z.shape != w.shape:
-        raise ValueError(f"input has {z.shape[0]} components, filter expects {w.shape[0]}")
     # np.add.reduce is what np.sum calls (same bits), without its Python dispatch.
-    prediction = np.add.reduce(z * np.conj(w))
-    for x, v in rest:
-        prediction = prediction + np.add.reduce(x * np.conj(v))
-    error = dv - prediction
-    norm_sq = float(np.add.reduce(z.real**2 + z.imag**2))
-    gain = mu / (state.epsilon + len(halves) * norm_sq)
-    for x, v in halves:
-        v += gain * np.conj(error) * x
-    return state, _step_record(prediction, error, True, 0)
+    squares = z.real**2
+    squares += z.imag**2
+    norm_sq = np.add.reduce(squares, axis=-1)
+    denominator = epsilon + (2 if widely_linear else 1) * norm_sq
+    return np.divide(mu, denominator, out=np.zeros_like(denominator), where=denominator > 0)
+
+
+def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray] = None) -> tuple:
+    """The normalized LMS update on ``(..., L)`` inputs; returns (prediction, error).
+
+    ``d`` and ``gain`` (from ``_gains``) have the leading shape of ``z``. The
+    weights ``w`` (and, widely linear, the conjugate weights ``g``) have the
+    shape of ``z`` and are updated in place. With ``g`` this is the update
+    of the stacked input (z, conj z) against the stacked weight (w, g).
+    """
+    prediction = np.add.reduce(z * np.conj(w), axis=-1)
+    if g is not None:
+        z_conj = np.conj(z)
+        prediction = prediction + np.add.reduce(z_conj * np.conj(g), axis=-1)
+    error = d - prediction
+    step = (gain * np.conj(error))[..., None]
+    w += step * z
+    if g is not None:
+        g += step * z_conj
+    return prediction, error
 
 
 def _step_record(prediction, error, admitted: bool, dict_size: int) -> StepRecord:
@@ -357,8 +409,7 @@ class CklmsConfig:
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        _require_step_size(self.mu)
 
 
 @dataclass(frozen=True)
@@ -369,8 +420,7 @@ class LinearLmsConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        _require_step_size(self.mu)
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
@@ -388,8 +438,20 @@ class FilterRun(NamedTuple):
         return np.array([r.dict_size for r in self.records], dtype=np.int64)
 
 
+class LinearBlockRun(NamedTuple):
+    """Result of ``run_linear_block`` over R realizations of N samples."""
+
+    predictions: np.ndarray  # (R, N) complex
+    squared_errors: np.ndarray  # (R, N) float
+    w: np.ndarray  # (R, L) final weights
+    g: Optional[np.ndarray]  # (R, L) final conjugate weights (wl_nclms), else None
+
+
 def run_filter(samples, algorithm: str, config) -> FilterRun:
     """Drive one algorithm over (input, target) pairs in order.
+
+    cklms steps through ``cklms_step``; nclms and wl_nclms stack the pairs
+    and run as the one-run case of ``run_linear_block``.
 
     Parameters
     ----------
@@ -417,18 +479,13 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
             raise TypeError("cklms requires a CklmsConfig")
     elif not isinstance(config, LinearLmsConfig):
         raise TypeError(f"{algorithm} requires a LinearLmsConfig")
+    if algorithm != "cklms":
+        return _run_linear(samples, algorithm, config)
     records = []
-    state = None
+    state = new_cklms_state(config.kernel, config.mu, config.novelty)
     for i, (z, d) in enumerate(samples):
         try:
-            if state is None:
-                state = _initial_state(algorithm, config, z)
-            if algorithm == "cklms":
-                state, record = cklms_step(state, z, d)
-            elif algorithm == "nclms":
-                state, record = nclms_step(state, z, d, config.mu)
-            else:
-                state, record = wl_nclms_step(state, z, d, config.mu)
+            state, record = cklms_step(state, z, d)
         except Exception as exc:
             raise FilterStepError(i, str(exc)) from exc
         records.append(record)
@@ -437,11 +494,86 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
     return FilterRun(records=records, state=state)
 
 
-def _initial_state(algorithm, config, first_input):
-    if algorithm == "cklms":
-        return new_cklms_state(config.kernel, config.mu, config.novelty)
-    dim = np.asarray(first_input).shape[0]
-    return new_linear_state(dim, widely_linear=(algorithm == "wl_nclms"), epsilon=config.epsilon)
+def _run_linear(samples, algorithm: str, config: LinearLmsConfig) -> FilterRun:
+    """run_filter for nclms/wl_nclms: validate the pairs in order, then one lockstep run."""
+    inputs, targets = [], []
+    for i, (z, d) in enumerate(samples):
+        try:
+            zv, dv = _as_sample_vector(z), _as_target(d)
+            if inputs:
+                _require_length(zv, inputs[0].shape[0])
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise FilterStepError(i, str(exc)) from exc
+        inputs.append(zv)
+        targets.append(dv)
+    if not inputs:
+        raise ValueError("sample sequence is empty")
+    targets = np.array(targets)
+    block = run_linear_block(np.array(inputs)[None], targets[None], algorithm, config)
+    predictions = block.predictions[0]
+    records = [
+        StepRecord(prediction, error, squared_error, True, 0)
+        for prediction, error, squared_error in zip(
+            predictions.tolist(), (targets - predictions).tolist(), block.squared_errors[0].tolist()
+        )
+    ]
+    g = None if block.g is None else block.g[0]
+    return FilterRun(records, LinearFilterState(w=block.w[0], g=g, epsilon=config.epsilon))
+
+
+def run_linear_block(inputs, targets, algorithm: str, config: LinearLmsConfig) -> LinearBlockRun:
+    """Run nclms or wl_nclms over R independent realizations in lockstep.
+
+    ``inputs`` is (R, N, L) and ``targets`` (R, N); each row is one
+    realization filtered from zero weights. At step i one call of
+    ``_normalized_lms_step`` advances all R runs, so the Python and numpy
+    dispatch cost is paid once per step, not once per run. Each run's
+    predictions, squared errors and final weights equal, bit for bit, those
+    of a serial ``nclms_step``/``wl_nclms_step`` loop over its samples.
+
+    Each realization is validated once, before any step. Raises
+    FilterStepError, with ``run`` set to the row, at the first sample whose
+    input or target is not finite.
+    """
+    if algorithm not in ("nclms", "wl_nclms"):
+        raise ValueError(f"run_linear_block runs nclms or wl_nclms, not {algorithm!r}")
+    if not isinstance(config, LinearLmsConfig):
+        raise TypeError(f"{algorithm} requires a LinearLmsConfig")
+    inputs = np.asarray(inputs, dtype=np.complex128)
+    targets = np.asarray(targets, dtype=np.complex128)
+    if inputs.ndim != 3 or 0 in inputs.shape or targets.shape != inputs.shape[:2]:
+        raise ValueError(
+            "expected non-empty inputs (runs, N, L) and targets (runs, N), "
+            f"got {inputs.shape} and {targets.shape}"
+        )
+    runs, n, dim = inputs.shape
+    widely_linear = algorithm == "wl_nclms"
+    gains = np.empty((runs, n))
+    for r in range(runs):
+        _check_realization(inputs[r], targets[r], r)
+        gains[r] = _gains(inputs[r], config.mu, config.epsilon, widely_linear)
+    w = np.zeros((runs, dim), dtype=np.complex128)
+    g = np.zeros_like(w) if widely_linear else None
+    predictions = np.empty((runs, n), dtype=np.complex128)
+    for i in range(n):
+        predictions[:, i] = _normalized_lms_step(inputs[:, i], targets[:, i], gains[:, i], w, g)[0]
+    squared_errors = np.empty((runs, n))
+    for r in range(runs):  # row by row, so the temporaries stay O(N)
+        errors = targets[r] - predictions[r]
+        squared_errors[r] = errors.real * errors.real + errors.imag * errors.imag
+    return LinearBlockRun(predictions=predictions, squared_errors=squared_errors, w=w, g=g)
+
+
+def _check_realization(inputs: np.ndarray, targets: np.ndarray, run: int) -> None:
+    """Raise FilterStepError at the first sample of one realization that is not finite."""
+    bad_input = ~np.isfinite(inputs).all(axis=-1)
+    bad_target = ~np.isfinite(targets)
+    bad = bad_input | bad_target
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_input[i]:
+            raise FilterStepError(i, "input vector has non-finite components", run=run)
+        raise FilterStepError(i, f"target value {targets[i]} is not finite", run=run)
 
 
 def snapshot_state(state) -> dict:

@@ -79,6 +79,41 @@ class TestEqualize:
         assert "experiments[1].algorithms[0]: sigma must be positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, field, message",
+        [
+            ("signal", "amplitude", "experiment.signal: amplitude must be finite, got nan"),
+            (
+                "channel",
+                "noise_stddev",
+                "experiment.channel: noise_stddev must be finite and nonnegative, got nan",
+            ),
+            (
+                0,
+                "delta1",
+                "experiment.algorithms[0]: novelty thresholds must be nonnegative, got delta1=nan",
+            ),
+            (
+                0,
+                "delta2",
+                "experiment.algorithms[0]: novelty thresholds must be nonnegative, got delta2=nan",
+            ),
+            (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative, got nan"),
+        ],
+    )
+    def test_nan_setting_exits_2_naming_its_path(self, capsys, tmp_path, section, field, message):
+        """A NaN setting (JSON accepts the literal NaN) is refused at load, before any run."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        target = doc["algorithms"][section] if isinstance(section, int) else doc[section]
+        target[field] = float("nan")
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(doc))
+        assert "NaN" in config.read_text()
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_csv_per_experiment(self, capsys, tiny_config_file, tmp_path):
         """A successful run writes <name>.csv into --out."""
         out = tmp_path / "results"
@@ -138,6 +173,7 @@ class TestVerificationCommands:
         """Nonsensical verification parameters exit nonzero."""
         assert main(["verify-kernel", "--n-points", "1"]) == 2
         assert main(["verify-kernel", "--sigma", "0"]) == 2
+        assert main(["verify-kernel", "--sigma", "nan"]) == 2
         capsys.readouterr()
 
 

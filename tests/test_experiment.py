@@ -1,6 +1,7 @@
 """Monte-Carlo runner, config parsing, and result emission tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from ckaf.cli import default_config_path
 from ckaf.experiment import (
+    RUN_BLOCK,
     AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
@@ -125,6 +127,8 @@ class TestConfigParsing:
             (1, {"delta2": -0.1}, "novelty thresholds must be nonnegative"),
             (1, {"mu": 0}, "mu must be positive"),
             (0, {"mu": -1}, "mu must be positive"),
+            (0, {"mu": math.inf}, "mu must be positive and finite, got inf"),
+            (1, {"mu": math.inf}, "mu must be positive and finite, got inf"),
             (0, {"epsilon": -1e-6}, "epsilon must be nonnegative"),
         ]:
             doc = tiny_doc()
@@ -248,8 +252,18 @@ class TestRunExperiment:
         assert run_experiment(clean).metadata["measured_snr_db"] is None
 
     def test_curves_average_independently_seeded_runs(self):
-        """Each curve is the run-order mean of runs seeded from (master_seed, r)."""
-        cfg = config_from_dict(tiny_doc(mc_runs=3))
+        """Each curve is the run-order mean of runs seeded from (master_seed, r).
+
+        ``RUN_BLOCK + 1`` runs span two blocks, the second holding one run.
+        """
+        algorithms = tiny_doc()["algorithms"] + [{"algorithm": "wl_nclms", "mu": 0.1}]
+        cfg = config_from_dict(
+            tiny_doc(
+                mc_runs=RUN_BLOCK + 1,
+                signal={"rho": 0.5, "n_samples": 30},
+                algorithms=algorithms,
+            )
+        )
         result = run_experiment(cfg)
         sums = {}
         for r in range(cfg.mc_runs):

@@ -30,6 +30,7 @@ from ckaf.filters import (
     new_linear_state,
     restore_state,
     run_filter,
+    run_linear_block,
     snapshot_state,
     wl_nclms_step,
 )
@@ -272,6 +273,9 @@ class TestCklmsStep:
             new_cklms_state(complex_gaussian(1.0), mu=0.0)
         with pytest.raises(ValueError):
             NoveltyConfig(-0.1, 0.0)
+        for thresholds in [(math.nan, 0.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError, match="=nan"):
+                NoveltyConfig(*thresholds)
 
 
 class TestNclmsStep:
@@ -307,6 +311,12 @@ class TestNclmsStep:
         for (z, d), expected in zip(samples, reference):
             state, record = nclms_step(state, z, d, mu=mu)
             assert abs(record.prediction - expected) < 1e-13
+
+    @pytest.mark.parametrize("epsilon", [-1e-6, math.nan])
+    def test_bad_epsilon_rejected(self, epsilon):
+        """epsilon must be nonnegative; NaN, which passes every < test, is refused too."""
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            new_linear_state(2, epsilon=epsilon)
 
     def test_dimension_mismatch_rejected(self):
         """Input length must match the weight vector."""
@@ -365,6 +375,88 @@ class TestWlNclmsStep:
         with pytest.raises(ValueError, match="conjugate weight vector"):
             nclms_step(state, [1 + 0j, 0j], 1 + 0j, mu=0.1)
         assert not state.w.any() and not state.g.any()
+
+
+def bits(a) -> np.ndarray:
+    """Raw float64 view, so equality also compares the signs of zeros."""
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+class TestLinearBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        runs=st.sampled_from([1, 2, 3, 17]),
+        dim=st.sampled_from([1, 6]),
+        widely_linear=st.booleans(),
+        n=st.integers(1, 25),
+        mu=st.floats(0.01, 1.5),
+        epsilon=st.sampled_from([0.0, 1e-6, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lockstep_equals_serial_steps_bit_for_bit(
+        self, runs, dim, widely_linear, n, mu, epsilon, seed
+    ):
+        """Lockstep predictions, squared errors and weights equal R serial step loops."""
+        rng = np.random.default_rng(seed)
+        scale = rng.choice([1e-3, 1.0, 30.0], size=(runs, n, 1))
+        shape = (runs, n, dim)
+        inputs = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        inputs[rng.random((runs, n)) < 0.1] = 0  # zero inputs, gain 0 when epsilon is 0
+        targets = rng.standard_normal((runs, n)) + 1j * rng.standard_normal((runs, n))
+        algorithm = "wl_nclms" if widely_linear else "nclms"
+        step = wl_nclms_step if widely_linear else nclms_step
+        config = LinearLmsConfig(mu=mu, epsilon=epsilon)
+        block = run_linear_block(inputs, targets, algorithm, config)
+        for r in range(runs):
+            state = new_linear_state(dim, widely_linear=widely_linear, epsilon=epsilon)
+            records = [step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
+            predictions = np.array([rec.prediction for rec in records])
+            squared_errors = np.array([rec.squared_error for rec in records])
+            assert np.array_equal(bits(block.predictions[r]), bits(predictions))
+            assert np.array_equal(bits(block.squared_errors[r]), bits(squared_errors))
+            assert np.array_equal(bits(block.w[r]), bits(state.w))
+            if widely_linear:
+                assert np.array_equal(bits(block.g[r]), bits(state.g))
+            else:
+                assert block.g is None
+
+    def test_zero_input_without_regularization_leaves_weights(self):
+        """eps = 0 and z = 0 has no normalized step: the gain is 0, not a division by zero."""
+        state = new_linear_state(2, epsilon=0.0)
+        state.w[:] = [1 + 1j, 2 - 1j]
+        state, record = nclms_step(state, [0j, 0j], 1 + 0j, mu=0.5)
+        assert record.prediction == 0j and record.error == 1 + 0j
+        assert np.array_equal(state.w, [1 + 1j, 2 - 1j])
+
+    @pytest.mark.parametrize(
+        "field, message", [("inputs", "input vector has non-finite"), ("targets", "target value")]
+    )
+    def test_first_non_finite_sample_names_run_and_step(self, field, message):
+        """Validation happens per realization; the error carries the row and the step."""
+        rng = np.random.default_rng(90)
+        data = {
+            "inputs": rng.standard_normal((3, 8, 2)) + 0j,
+            "targets": rng.standard_normal((3, 8)) + 0j,
+        }
+        data[field][2, 6] = np.nan
+        data[field][2, 7] = np.inf
+        with pytest.raises(FilterStepError, match=f"^step 6: {message}") as info:
+            run_linear_block(data["inputs"], data["targets"], "wl_nclms", LinearLmsConfig(mu=0.1))
+        assert (info.value.run, info.value.iteration) == (2, 6)
+
+    def test_shapes_and_algorithm_checked(self):
+        """Inputs are (R, N, L), targets (R, N); only the linear algorithms run in lockstep."""
+        config = LinearLmsConfig(mu=0.1)
+        inputs = np.zeros((2, 4, 3), dtype=np.complex128)
+        with pytest.raises(ValueError, match="expected non-empty inputs"):
+            run_linear_block(inputs, np.zeros((2, 3)), "nclms", config)
+        with pytest.raises(ValueError, match="expected non-empty inputs"):
+            run_linear_block(inputs[0], np.zeros(4), "nclms", config)
+        with pytest.raises(ValueError, match="nclms or wl_nclms"):
+            run_linear_block(inputs, np.zeros((2, 4)), "cklms", config)
+        with pytest.raises(TypeError):
+            kernel_config = CklmsConfig(complex_gaussian(1.0), 1.0)
+            run_linear_block(inputs, np.zeros((2, 4)), "nclms", kernel_config)
 
 
 class TestRunFilter:
@@ -487,6 +579,39 @@ class TestRunFilter:
         samples = [(np.array([0.1 + 0j]), 1 + 0j), (np.array([np.inf + 0j]), 0j)]
         with pytest.raises(FilterStepError, match="step 1"):
             run_filter(samples, "cklms", CklmsConfig(kernel=complex_gaussian(1.0), mu=1.0))
+
+    @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (np.array([np.nan + 0j, 0j]), "input vector has non-finite components"),
+            (np.array([0.5 + 0j]), "input has 1 components, filter expects 2"),
+            (np.array([[0.5 + 0j, 0j]]), "input must be a 1-D vector"),
+        ],
+        ids=["non-finite", "wrong-length", "2-D"],
+    )
+    def test_linear_step_errors_carry_iteration_index(self, algorithm, fault, message):
+        """A bad input vector at sample k raises FilterStepError("step k") for nclms/wl_nclms."""
+        rng = np.random.default_rng(73)
+        samples = random_samples(rng, 9, 2)
+        samples[4] = (fault, 1 + 0j)
+        samples[7] = (np.array([np.inf + 0j, 0j]), 0j)
+        with pytest.raises(FilterStepError, match=f"^step 4: {message}") as info:
+            run_filter(samples, algorithm, LinearLmsConfig(mu=0.1))
+        assert info.value.iteration == 4 and info.value.run is None
+
+    @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
+    def test_linear_run_matches_step_loop(self, algorithm):
+        """run_filter's one-run lockstep path returns the step loop's records and state."""
+        rng = np.random.default_rng(74)
+        samples = random_samples(rng, 40, 3)
+        widely_linear = algorithm == "wl_nclms"
+        step = wl_nclms_step if widely_linear else nclms_step
+        state = new_linear_state(3, widely_linear=widely_linear, epsilon=1e-4)
+        expected = [step(state, z, d, 0.3)[1] for z, d in samples]
+        run = run_filter(iter(samples), algorithm, LinearLmsConfig(mu=0.3, epsilon=1e-4))
+        assert run.records == expected
+        assert snapshot_state(run.state) == snapshot_state(state)
 
 
 class TestSnapshots:
