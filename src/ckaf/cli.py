@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import math
 import os
 import sys
 from pathlib import Path
@@ -220,8 +221,8 @@ def _cmd_verify_kernel(args) -> int:
     if args.n_points < 2:
         print("error: --n-points must be at least 2", file=sys.stderr)
         return 2
-    if not args.sigma > 0:  # also refuses --sigma nan
-        print("error: --sigma must be positive", file=sys.stderr)
+    if not 0 < args.sigma < math.inf:  # also refuses --sigma nan
+        print("error: --sigma must be positive and finite", file=sys.stderr)
         return 2
     rng = np.random.default_rng(7)
     n = args.n_points

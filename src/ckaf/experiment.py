@@ -6,11 +6,10 @@ Monte-Carlo realizations, and averages the squared-error trajectories
 pointwise. ``run_experiment`` walks the runs in blocks of ``RUN_BLOCK``
 realizations, so memory is bounded by the block, not by ``mc_runs``. Every
 algorithm of a run consumes the identical dataset realization, so curves are
-directly comparable. cklms runs on each realization through ``run_filter``
-as soon as it is generated; once the block is full, nclms and wl_nclms run
-once each, in lockstep over all of the block's runs (``run_linear_block``).
-Each run's squared errors and dictionary sizes go into per-label running
-sums in run order, so the curves do not depend on the block size.
+directly comparable. Once a block is generated, each algorithm runs over it
+with one ``run_block`` call, in config order. Each run's squared errors and
+dictionary sizes go into per-label running sums in run order, so the curves
+do not depend on the block size.
 ``LearningCurve.steady_state_db`` is the one steady-state statistic: the dB
 value of the mean MSE over the last ``STEADY_STATE_WINDOW`` (500)
 iterations.
@@ -59,14 +58,13 @@ from ckaf.filters import (
     FilterStepError,
     LinearLmsConfig,
     NoveltyConfig,
-    run_filter,
-    run_linear_block,
+    run_block,
 )
 from ckaf.kernels import KernelSpec
 
 MSE_FLOOR = 1e-12
 STEADY_STATE_WINDOW = 500
-# Monte-Carlo runs whose linear filters advance in lockstep; bounds the (runs, N, L) block.
+# Monte-Carlo runs per run_block call; bounds the (runs, N, L) block.
 RUN_BLOCK = 16
 
 
@@ -102,6 +100,10 @@ class AlgorithmConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.label is None:
             object.__setattr__(self, "label", self.algorithm)
+        if not self.label or any(c in self.label for c in ',"\r\n'):  # it heads a CSV column
+            raise ValueError(
+                f"label must be non-empty, with no comma, quote or line break, got {self.label!r}"
+            )
         self.filter_config()  # range checks of mu, kernel, sigma, thresholds, epsilon
 
     def filter_config(self):
@@ -127,6 +129,10 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):  # a file name
+            raise ValueError(
+                f"name must be a plain file name (no /, \\ or NUL, not . or ..), got {self.name!r}"
+            )
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be at least 1")
         if self.master_seed < 0:
@@ -172,8 +178,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all Monte-Carlo runs and average learning curves pointwise.
 
     Runs are taken in blocks of ``RUN_BLOCK`` in run-index order, and every
-    algorithm of a run consumes that run's dataset: cklms per run, the
-    linear filters once per block in lockstep. Each run seeds itself
+    algorithm runs once per block, in config order, through ``run_block``,
+    so each consumes the same datasets. Each run seeds itself
     from ``(master_seed, run_index)``, so results do not depend on that
     order. Per-label running sums, added in run order, keep memory
     independent of the run count. Failures are re-raised with the run index
@@ -182,9 +188,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     started = time.perf_counter()
     mse_sums = {}
     dict_sums = {}
-    kernel_algs = [a for a in cfg.algorithms if a.algorithm == "cklms"]
-    linear_algs = [a for a in cfg.algorithms if a.algorithm != "cklms"]
-    final_sizes = {a.label: [] for a in kernel_algs}
+    final_sizes = {}
     signal_power = noise_power = 0.0
     for first in range(0, cfg.mc_runs, RUN_BLOCK):
         runs = range(first, min(first + RUN_BLOCK, cfg.mc_runs))
@@ -198,20 +202,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             del run_inputs, run_targets  # the block rows are the only copy kept
             signal_power += run_signal_power
             noise_power += run_noise_power
-            for alg in kernel_algs:
-                trace, sizes = _kernel_run(inputs[j], targets[j], alg, r)
-                mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + trace
-                dict_sums[alg.label] = dict_sums.get(alg.label, 0.0) + sizes
-                final_sizes[alg.label].append(int(sizes[-1]))
-        for alg in linear_algs:
+        for alg in cfg.algorithms:
             try:
-                squared = run_linear_block(
-                    inputs, targets, alg.algorithm, alg.filter_config()
-                ).squared_errors
+                block = run_block(inputs, targets, alg.algorithm, alg.filter_config())
             except FilterStepError as exc:
                 raise RuntimeError(f"run {first + exc.run}, algorithm {alg.label}: {exc}") from exc
-            for trace in squared:
-                mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + trace
+            for j in range(len(runs)):
+                mse_sums[alg.label] = mse_sums.get(alg.label, 0.0) + block.squared_errors[j]
+                if block.dict_sizes is not None:
+                    dict_sums[alg.label] = dict_sums.get(alg.label, 0.0) + block.dict_sizes[j]
+                    final_sizes.setdefault(alg.label, []).append(int(block.dict_sizes[j, -1]))
+            del block  # one algorithm's block at a time
 
     curves = {}
     for alg in cfg.algorithms:
@@ -230,15 +231,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "wall_clock_seconds": time.perf_counter() - started,
     }
     return ExperimentResult(config=cfg, curves=curves, metadata=metadata)
-
-
-def _kernel_run(inputs: np.ndarray, targets: np.ndarray, alg: AlgorithmConfig, run_index: int):
-    """One run's cklms squared errors and dictionary sizes, through ``run_filter``."""
-    try:
-        run = run_filter(zip(inputs, targets), alg.algorithm, alg.filter_config())
-    except Exception as exc:
-        raise RuntimeError(f"run {run_index}, algorithm {alg.label}: {exc}") from exc
-    return run.squared_errors(), run.dict_sizes()
 
 
 def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:

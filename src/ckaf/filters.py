@@ -27,17 +27,21 @@ Three algorithms share one step-record interface:
     ``||(z, conj z)||^2 = 2 ||z||^2`` because ``|conj z_i| = |z_i|``. Both
     algorithms therefore share one update, ``_normalized_lms_step``.
 
-The normalized LMS update works on ``(..., L)`` arrays, so one call can
-advance R independent runs at once. ``run_linear_block`` drives nclms or
-wl_nclms over a block of R realizations in lockstep: at step i one numpy
-expression updates the (R, L) weights of every run, and each run's
-predictions and weights equal, bit for bit, those of a serial
-``nclms_step``/``wl_nclms_step`` loop over it. The gains
-``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend only on
-the inputs, so ``run_linear_block`` computes them once per realization. A
+Runs
+----
+``run_filter`` drives one algorithm over a sequence of (input, target)
+pairs, one step function call per pair, and returns a StepRecord per
+sample plus the final state. ``run_block`` runs one algorithm over a block
+of R realizations and returns (R, N) arrays. The normalized LMS update works
+on ``(..., L)`` arrays, so ``run_block`` advances the R runs of nclms or
+wl_nclms in lockstep: at step i one numpy expression updates the (R, L)
+weights of every run, and each run's predictions and weights equal, bit for
+bit, those of a serial ``nclms_step``/``wl_nclms_step`` loop over it. The
+gains ``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend
+only on the inputs, so ``run_block`` computes them once per realization. A
 zero input with ``eps = 0`` has no defined normalized step; its gain is 0
-and the weights stay as they are. ``run_filter`` runs the linear filters as the
-one-run case of ``run_linear_block`` and keeps the per-step loop for cklms.
+and the weights stay as they are. cklms runs the rows of a block one after
+another through ``run_filter``.
 
 Novelty criterion
 -----------------
@@ -89,8 +93,8 @@ class StepRecord(NamedTuple):
 class FilterStepError(RuntimeError):
     """A step failed; ``iteration`` carries the zero-based sample index.
 
-    ``run`` is the failing realization's row in a ``run_linear_block`` call,
-    and None for a single-run failure.
+    ``run`` is the failing realization's row in a ``run_block`` call, and
+    None for a single-run failure.
     """
 
     def __init__(self, iteration: int, message: str, run: Optional[int] = None):
@@ -111,6 +115,8 @@ class NoveltyConfig:
             value = getattr(self, name)
             if not value >= 0:  # also refuses NaN, which every comparison lets through
                 raise ValueError(f"novelty thresholds must be nonnegative, got {name}={value}")
+            if value == math.inf:  # an infinite threshold admits nothing after the first center
+                raise ValueError(f"novelty thresholds must be finite, got {name}={value}")
 
 
 class Dictionary:
@@ -222,13 +228,23 @@ class LinearFilterState:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        _require_epsilon(self.epsilon)
+        if self.g is not None and np.shape(self.g) != np.shape(self.w):
+            raise ValueError(
+                f"conjugate weights have shape {np.shape(self.g)}, weights {np.shape(self.w)}"
+            )
 
 
 def _require_step_size(mu: float) -> None:
     if not 0 < mu < math.inf:  # an infinite step turns every weight into NaN
         raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
+def _require_epsilon(epsilon: float) -> None:
+    if not epsilon >= 0:  # also refuses NaN, which every comparison lets through
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if epsilon == math.inf:  # an infinite regularizer makes every gain 0
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
 def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None) -> CklmsState:
@@ -402,7 +418,7 @@ def _step_record(prediction, error, admitted: bool, dict_size: int) -> StepRecor
 
 @dataclass(frozen=True)
 class CklmsConfig:
-    """run_filter configuration for the cklms algorithm."""
+    """run_filter and run_block configuration for the cklms algorithm."""
 
     kernel: KernelSpec
     mu: float
@@ -414,15 +430,14 @@ class CklmsConfig:
 
 @dataclass(frozen=True)
 class LinearLmsConfig:
-    """run_filter configuration for the nclms and wl_nclms algorithms."""
+    """run_filter and run_block configuration for the nclms and wl_nclms algorithms."""
 
     mu: float
     epsilon: float = 1e-6
 
     def __post_init__(self):
         _require_step_size(self.mu)
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        _require_epsilon(self.epsilon)
 
 
 class FilterRun(NamedTuple):
@@ -438,20 +453,30 @@ class FilterRun(NamedTuple):
         return np.array([r.dict_size for r in self.records], dtype=np.int64)
 
 
-class LinearBlockRun(NamedTuple):
-    """Result of ``run_linear_block`` over R realizations of N samples."""
+class BlockRun(NamedTuple):
+    """Result of ``run_block`` over R realizations of N samples."""
 
     predictions: np.ndarray  # (R, N) complex
     squared_errors: np.ndarray  # (R, N) float
-    w: np.ndarray  # (R, L) final weights
+    dict_sizes: Optional[np.ndarray]  # (R, N) dictionary sizes (cklms), else None
+    w: Optional[np.ndarray]  # (R, L) final weights (nclms, wl_nclms), else None
     g: Optional[np.ndarray]  # (R, L) final conjugate weights (wl_nclms), else None
 
 
-def run_filter(samples, algorithm: str, config) -> FilterRun:
-    """Drive one algorithm over (input, target) pairs in order.
+def _check_algorithm(algorithm: str, config) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    expected = CklmsConfig if algorithm == "cklms" else LinearLmsConfig
+    if not isinstance(config, expected):
+        raise TypeError(f"{algorithm} requires a {expected.__name__}")
 
-    cklms steps through ``cklms_step``; nclms and wl_nclms stack the pairs
-    and run as the one-run case of ``run_linear_block``.
+
+def run_filter(samples, algorithm: str, config) -> FilterRun:
+    """Drive one algorithm over (input, target) pairs in order, one step per pair.
+
+    Each pair goes through ``cklms_step``, ``nclms_step`` or ``wl_nclms_step``,
+    so every sample is validated by its step. A linear filter starts from
+    zero weights sized by the first input.
 
     Parameters
     ----------
@@ -472,20 +497,20 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
     FilterStepError
         Wrapping any step failure with its zero-based iteration index.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _check_algorithm(algorithm, config)
+    state = None
     if algorithm == "cklms":
-        if not isinstance(config, CklmsConfig):
-            raise TypeError("cklms requires a CklmsConfig")
-    elif not isinstance(config, LinearLmsConfig):
-        raise TypeError(f"{algorithm} requires a LinearLmsConfig")
-    if algorithm != "cklms":
-        return _run_linear(samples, algorithm, config)
+        state = new_cklms_state(config.kernel, config.mu, config.novelty)
     records = []
-    state = new_cklms_state(config.kernel, config.mu, config.novelty)
     for i, (z, d) in enumerate(samples):
         try:
-            state, record = cklms_step(state, z, d)
+            if algorithm == "cklms":
+                state, record = cklms_step(state, z, d)
+            else:
+                if state is None:  # zero weights sized by the first input
+                    state = new_linear_state(np.size(z), algorithm == "wl_nclms", config.epsilon)
+                step = nclms_step if algorithm == "nclms" else wl_nclms_step
+                state, record = step(state, z, d, config.mu)
         except Exception as exc:
             raise FilterStepError(i, str(exc)) from exc
         records.append(record)
@@ -494,51 +519,23 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
     return FilterRun(records=records, state=state)
 
 
-def _run_linear(samples, algorithm: str, config: LinearLmsConfig) -> FilterRun:
-    """run_filter for nclms/wl_nclms: validate the pairs in order, then one lockstep run."""
-    inputs, targets = [], []
-    for i, (z, d) in enumerate(samples):
-        try:
-            zv, dv = _as_sample_vector(z), _as_target(d)
-            if inputs:
-                _require_length(zv, inputs[0].shape[0])
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            raise FilterStepError(i, str(exc)) from exc
-        inputs.append(zv)
-        targets.append(dv)
-    if not inputs:
-        raise ValueError("sample sequence is empty")
-    targets = np.array(targets)
-    block = run_linear_block(np.array(inputs)[None], targets[None], algorithm, config)
-    predictions = block.predictions[0]
-    records = [
-        StepRecord(prediction, error, squared_error, True, 0)
-        for prediction, error, squared_error in zip(
-            predictions.tolist(), (targets - predictions).tolist(), block.squared_errors[0].tolist()
-        )
-    ]
-    g = None if block.g is None else block.g[0]
-    return FilterRun(records, LinearFilterState(w=block.w[0], g=g, epsilon=config.epsilon))
+def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
+    """Run one algorithm over R independent realizations, each from a fresh state.
 
+    ``inputs`` is (R, N, L) and ``targets`` (R, N). Each realization is
+    validated once, before any step. nclms and wl_nclms advance all R runs in
+    lockstep: at step i one call of ``_normalized_lms_step`` updates the
+    (R, L) weights, so the Python and numpy dispatch cost is paid once per
+    step, not once per run, and each run's predictions, squared errors and
+    final weights equal, bit for bit, those of a serial
+    ``nclms_step``/``wl_nclms_step`` loop over its samples. cklms runs the
+    rows one after another through ``run_filter`` and keeps each row's
+    dictionary sizes, not its state, so a block never holds R dictionaries.
 
-def run_linear_block(inputs, targets, algorithm: str, config: LinearLmsConfig) -> LinearBlockRun:
-    """Run nclms or wl_nclms over R independent realizations in lockstep.
-
-    ``inputs`` is (R, N, L) and ``targets`` (R, N); each row is one
-    realization filtered from zero weights. At step i one call of
-    ``_normalized_lms_step`` advances all R runs, so the Python and numpy
-    dispatch cost is paid once per step, not once per run. Each run's
-    predictions, squared errors and final weights equal, bit for bit, those
-    of a serial ``nclms_step``/``wl_nclms_step`` loop over its samples.
-
-    Each realization is validated once, before any step. Raises
-    FilterStepError, with ``run`` set to the row, at the first sample whose
-    input or target is not finite.
+    Raises FilterStepError, with ``run`` set to the row, at the first sample
+    whose input or target is not finite, or at a failing cklms step.
     """
-    if algorithm not in ("nclms", "wl_nclms"):
-        raise ValueError(f"run_linear_block runs nclms or wl_nclms, not {algorithm!r}")
-    if not isinstance(config, LinearLmsConfig):
-        raise TypeError(f"{algorithm} requires a LinearLmsConfig")
+    _check_algorithm(algorithm, config)
     inputs = np.asarray(inputs, dtype=np.complex128)
     targets = np.asarray(targets, dtype=np.complex128)
     if inputs.ndim != 3 or 0 in inputs.shape or targets.shape != inputs.shape[:2]:
@@ -547,21 +544,35 @@ def run_linear_block(inputs, targets, algorithm: str, config: LinearLmsConfig) -
             f"got {inputs.shape} and {targets.shape}"
         )
     runs, n, dim = inputs.shape
-    widely_linear = algorithm == "wl_nclms"
-    gains = np.empty((runs, n))
     for r in range(runs):
         _check_realization(inputs[r], targets[r], r)
-        gains[r] = _gains(inputs[r], config.mu, config.epsilon, widely_linear)
-    w = np.zeros((runs, dim), dtype=np.complex128)
-    g = np.zeros_like(w) if widely_linear else None
     predictions = np.empty((runs, n), dtype=np.complex128)
-    for i in range(n):
-        predictions[:, i] = _normalized_lms_step(inputs[:, i], targets[:, i], gains[:, i], w, g)[0]
+    dict_sizes = w = g = None
+    if algorithm == "cklms":
+        dict_sizes = np.empty((runs, n), dtype=np.int64)
+        for r in range(runs):
+            try:
+                records = run_filter(zip(inputs[r], targets[r]), algorithm, config).records
+            except FilterStepError as exc:
+                exc.run = r
+                raise
+            predictions[r] = [record.prediction for record in records]
+            dict_sizes[r] = [record.dict_size for record in records]
+            del records  # one run's records at a time
+    else:
+        widely_linear = algorithm == "wl_nclms"
+        gains = np.empty((runs, n))
+        for r in range(runs):
+            gains[r] = _gains(inputs[r], config.mu, config.epsilon, widely_linear)
+        w = np.zeros((runs, dim), dtype=np.complex128)
+        g = np.zeros_like(w) if widely_linear else None
+        for i in range(n):
+            predictions[:, i] = _normalized_lms_step(inputs[:, i], targets[:, i], gains[:, i], w, g)[0]
     squared_errors = np.empty((runs, n))
     for r in range(runs):  # row by row, so the temporaries stay O(N)
         errors = targets[r] - predictions[r]
         squared_errors[r] = errors.real * errors.real + errors.imag * errors.imag
-    return LinearBlockRun(predictions=predictions, squared_errors=squared_errors, w=w, g=g)
+    return BlockRun(predictions, squared_errors, dict_sizes, w, g)
 
 
 def _check_realization(inputs: np.ndarray, targets: np.ndarray, run: int) -> None:
@@ -618,8 +629,10 @@ def restore_state(doc: dict):
                 f"snapshot has {len(doc['centers'])} centers but "
                 f"{len(doc['coefficients'])} coefficients"
             )
-        for center_pairs, coeff_pair in zip(doc["centers"], doc["coefficients"]):
+        for k, (center_pairs, coeff_pair) in enumerate(zip(doc["centers"], doc["coefficients"])):
             center = np.array([complex(re, im) for re, im in center_pairs])
+            if not np.all(np.isfinite(center)):  # cklms_step never admits such a center
+                raise ValueError(f"snapshot center {k} has non-finite components")
             state.dictionary.append(
                 center, complex(*coeff_pair), self_kernel(center, state.kernel)
             )

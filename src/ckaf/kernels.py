@@ -46,6 +46,7 @@ with equality only for real ``z``. Code that assumes unit self-kernels
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class KernelSpec:
         ``sigma``; it exists so a kernel filter can be compared against an
         explicit-weight LMS filter operating on the raw input space.
     sigma : float
-        Width of the Gaussian families. Must be positive.
+        Width of the Gaussian families. Must be positive and finite.
     """
 
     family: str
@@ -80,8 +81,8 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:  # also refuses NaN
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def complex_gaussian(sigma: float) -> KernelSpec:

@@ -1,6 +1,7 @@
 """Command-line interface tests on small configurations."""
 
 import json
+import math
 
 import pytest
 
@@ -99,20 +100,60 @@ class TestEqualize:
                 "experiment.algorithms[0]: novelty thresholds must be nonnegative, got delta2=nan",
             ),
             (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative, got nan"),
+            ("signal", "amplitude", "experiment.signal: amplitude must be finite, got inf"),
+            (
+                "channel",
+                "noise_stddev",
+                "experiment.channel: noise_stddev must be finite and nonnegative, got inf",
+            ),
+            (0, "sigma", "experiment.algorithms[0]: sigma must be positive and finite, got inf"),
+            (
+                0,
+                "delta1",
+                "experiment.algorithms[0]: novelty thresholds must be finite, got delta1=inf",
+            ),
+            (
+                0,
+                "delta2",
+                "experiment.algorithms[0]: novelty thresholds must be finite, got delta2=inf",
+            ),
+            (1, "epsilon", "experiment.algorithms[1]: epsilon must be finite, got inf"),
         ],
     )
     def test_nan_setting_exits_2_naming_its_path(self, capsys, tmp_path, section, field, message):
-        """A NaN setting (JSON accepts the literal NaN) is refused at load, before any run."""
+        """A NaN or infinite setting (JSON accepts the literals NaN and Infinity) is refused
+        at load, before any run."""
+        value = float(message[-3:])  # every message ends in the value: nan or inf
         doc = json.loads(json.dumps(TINY_CONFIG))
         target = doc["algorithms"][section] if isinstance(section, int) else doc[section]
-        target[field] = float("nan")
+        target[field] = value
         config = tmp_path / "nan.json"
         config.write_text(json.dumps(doc))
-        assert "NaN" in config.read_text()
+        assert ("NaN" if math.isnan(value) else "Infinity") in config.read_text()
         out = tmp_path / "results"
         assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("name", "../escaped", "experiment: name must be a plain file name"),
+            ("label", "a,b", "experiment.algorithms[0]: label must be non-empty, with no comma"),
+        ],
+    )
+    def test_name_or_label_that_breaks_the_output_exits_2(
+        self, capsys, tmp_path, key, value, message
+    ):
+        """A name that leaves --out or a label that splits a CSV column is refused at load."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        (doc if key == "name" else doc["algorithms"][0])[key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "escaped.csv").exists()
 
     def test_writes_csv_per_experiment(self, capsys, tiny_config_file, tmp_path):
         """A successful run writes <name>.csv into --out."""
@@ -174,6 +215,7 @@ class TestVerificationCommands:
         assert main(["verify-kernel", "--n-points", "1"]) == 2
         assert main(["verify-kernel", "--sigma", "0"]) == 2
         assert main(["verify-kernel", "--sigma", "nan"]) == 2
+        assert main(["verify-kernel", "--sigma", "inf"]) == 2
         capsys.readouterr()
 
 

@@ -119,6 +119,10 @@ class TestConfigParsing:
             config_from_dict(tiny_doc(mc_runs=0))
         with pytest.raises(ConfigError, match=r"^experiment: master_seed must be nonnegative$"):
             config_from_dict(tiny_doc(master_seed=-1))
+        # the name becomes a file name under --out
+        for name in ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"]:
+            with pytest.raises(ConfigError, match=r"^experiment: name must be a plain file name"):
+                config_from_dict(tiny_doc(name=name))
         # per-algorithm ranges fail when the config is built, not in run 0
         for index, setting, message in [
             (1, {"sigma": 0}, "sigma must be positive"),
@@ -130,11 +134,16 @@ class TestConfigParsing:
             (0, {"mu": math.inf}, "mu must be positive and finite, got inf"),
             (1, {"mu": math.inf}, "mu must be positive and finite, got inf"),
             (0, {"epsilon": -1e-6}, "epsilon must be nonnegative"),
+            # a label heads a CSV column
+            *[(0, {"label": label}, "label must be") for label in ["", "a,b", 'a"b', "a\nb", "a\rb"]],
         ]:
             doc = tiny_doc()
             doc["algorithms"][index].update(setting)
             with pytest.raises(ConfigError, match=rf"^experiment\.algorithms\[{index}\]: {message}"):
                 config_from_dict(doc)
+        doc = tiny_doc(name="run .. 1")
+        doc["algorithms"][0]["label"] = "nclms mu=0.1 (a)"
+        config_from_dict(doc)  # dots, spaces and other punctuation are fine
 
     def test_malformed_complex_pair_rejected(self):
         """Channel taps must be [real, imag] pairs."""
@@ -300,6 +309,13 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="run 0"):
             run_experiment(cfg)
 
+    def test_overflowing_realization_names_the_first_algorithm_in_config_order(self):
+        """Every algorithm runs over the block in config order; the first one reports the fault."""
+        doc = tiny_doc(mc_runs=1)
+        doc["signal"]["amplitude"] = 1e120  # the channel's polynomial overflows to inf
+        with pytest.raises(RuntimeError, match=r"^run 0, algorithm nclms: step \d+: input vector"):
+            run_experiment(config_from_dict(doc))
+
     def test_dictionary_metadata_collected(self):
         """Kernel-filter curves carry per-iteration and final dictionary sizes."""
         result = run_experiment(config_from_dict(tiny_doc()))
@@ -386,3 +402,12 @@ def test_import_leaves_process_pools_unloaded():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_public_names_resolve_once():
+    """Every name in ckaf.__all__ is defined on the package and listed once."""
+    import ckaf
+
+    assert len(ckaf.__all__) == len(set(ckaf.__all__))
+    missing = [name for name in ckaf.__all__ if not hasattr(ckaf, name)]
+    assert missing == []

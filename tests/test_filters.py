@@ -29,8 +29,8 @@ from ckaf.filters import (
     new_cklms_state,
     new_linear_state,
     restore_state,
+    run_block,
     run_filter,
-    run_linear_block,
     snapshot_state,
     wl_nclms_step,
 )
@@ -276,6 +276,11 @@ class TestCklmsStep:
         for thresholds in [(math.nan, 0.0), (0.0, math.nan)]:
             with pytest.raises(ValueError, match="=nan"):
                 NoveltyConfig(*thresholds)
+        for thresholds, name in [((math.inf, 0.0), "delta1"), ((0.0, math.inf), "delta2")]:
+            with pytest.raises(ValueError, match=f"must be finite, got {name}=inf"):
+                NoveltyConfig(*thresholds)
+        with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
+            new_cklms_state(complex_gaussian(math.inf), mu=1.0)
 
 
 class TestNclmsStep:
@@ -312,11 +317,14 @@ class TestNclmsStep:
             state, record = nclms_step(state, z, d, mu=mu)
             assert abs(record.prediction - expected) < 1e-13
 
-    @pytest.mark.parametrize("epsilon", [-1e-6, math.nan])
+    @pytest.mark.parametrize("epsilon", [-1e-6, math.nan, math.inf])
     def test_bad_epsilon_rejected(self, epsilon):
-        """epsilon must be nonnegative; NaN, which passes every < test, is refused too."""
-        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+        """epsilon must be nonnegative and finite; NaN, which passes every < test, is refused too."""
+        message = "epsilon must be finite" if epsilon == math.inf else "epsilon must be nonnegative"
+        with pytest.raises(ValueError, match=message):
             new_linear_state(2, epsilon=epsilon)
+        with pytest.raises(ValueError, match=message):
+            LinearLmsConfig(mu=0.1, epsilon=epsilon)
 
     def test_dimension_mismatch_rejected(self):
         """Input length must match the weight vector."""
@@ -378,44 +386,61 @@ class TestWlNclmsStep:
 
 
 def bits(a) -> np.ndarray:
-    """Raw float64 view, so equality also compares the signs of zeros."""
-    return np.ascontiguousarray(a).view(np.float64)
+    """Raw 64-bit patterns, so equality also compares the signs of zeros and NaNs."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestLinearBlock:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         runs=st.sampled_from([1, 2, 3, 17]),
         dim=st.sampled_from([1, 6]),
-        widely_linear=st.booleans(),
+        algorithm=st.sampled_from(["cklms", "nclms", "wl_nclms"]),
         n=st.integers(1, 25),
         mu=st.floats(0.01, 1.5),
         epsilon=st.sampled_from([0.0, 1e-6, 0.5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lockstep_equals_serial_steps_bit_for_bit(
-        self, runs, dim, widely_linear, n, mu, epsilon, seed
+    def test_block_rows_equal_serial_steps_bit_for_bit(
+        self, runs, dim, algorithm, n, mu, epsilon, seed
     ):
-        """Lockstep predictions, squared errors and weights equal R serial step loops."""
+        """run_block's predictions, squared errors, dictionary sizes and weights equal R
+        serial step loops, as raw bits."""
         rng = np.random.default_rng(seed)
         scale = rng.choice([1e-3, 1.0, 30.0], size=(runs, n, 1))
         shape = (runs, n, dim)
         inputs = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         inputs[rng.random((runs, n)) < 0.1] = 0  # zero inputs, gain 0 when epsilon is 0
         targets = rng.standard_normal((runs, n)) + 1j * rng.standard_normal((runs, n))
-        algorithm = "wl_nclms" if widely_linear else "nclms"
-        step = wl_nclms_step if widely_linear else nclms_step
-        config = LinearLmsConfig(mu=mu, epsilon=epsilon)
-        block = run_linear_block(inputs, targets, algorithm, config)
+        if algorithm == "cklms":
+            # epsilon picks the thresholds; inputs of scale 30 make the kernel overflow
+            novelty = NoveltyConfig(epsilon, 2 * epsilon)
+            config = CklmsConfig(complex_gaussian(2.0), mu, novelty)
+        else:
+            config = LinearLmsConfig(mu=mu, epsilon=epsilon)
+        with np.errstate(all="ignore"):
+            block = run_block(inputs, targets, algorithm, config)
         for r in range(runs):
-            state = new_linear_state(dim, widely_linear=widely_linear, epsilon=epsilon)
-            records = [step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
+            if algorithm == "cklms":
+                state = new_cklms_state(config.kernel, mu, config.novelty)
+                with np.errstate(all="ignore"):
+                    records = [cklms_step(state, z, d)[1] for z, d in zip(inputs[r], targets[r])]
+            else:
+                widely_linear = algorithm == "wl_nclms"
+                step = wl_nclms_step if widely_linear else nclms_step
+                state = new_linear_state(dim, widely_linear=widely_linear, epsilon=epsilon)
+                records = [step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
             predictions = np.array([rec.prediction for rec in records])
             squared_errors = np.array([rec.squared_error for rec in records])
             assert np.array_equal(bits(block.predictions[r]), bits(predictions))
             assert np.array_equal(bits(block.squared_errors[r]), bits(squared_errors))
+            if algorithm == "cklms":
+                assert block.dict_sizes[r].tolist() == [rec.dict_size for rec in records]
+                assert block.w is None and block.g is None
+                continue
+            assert block.dict_sizes is None
             assert np.array_equal(bits(block.w[r]), bits(state.w))
-            if widely_linear:
+            if algorithm == "wl_nclms":
                 assert np.array_equal(bits(block.g[r]), bits(state.g))
             else:
                 assert block.g is None
@@ -441,22 +466,31 @@ class TestLinearBlock:
         data[field][2, 6] = np.nan
         data[field][2, 7] = np.inf
         with pytest.raises(FilterStepError, match=f"^step 6: {message}") as info:
-            run_linear_block(data["inputs"], data["targets"], "wl_nclms", LinearLmsConfig(mu=0.1))
+            run_block(data["inputs"], data["targets"], "wl_nclms", LinearLmsConfig(mu=0.1))
         assert (info.value.run, info.value.iteration) == (2, 6)
 
+    def test_cklms_step_failure_carries_its_run(self):
+        """A cklms step that fails inside run_block names the row as well as the step."""
+        inputs = np.full((3, 5, 2), 0.5 + 0j)
+        inputs[2, 3, 1] = 0.5 + 0.25j  # the real Gaussian refuses complex inputs
+        config = CklmsConfig(KernelSpec("real-gaussian", 1.0), 0.5)
+        with pytest.raises(FilterStepError, match="^step 3: z must have zero imaginary") as info:
+            run_block(inputs, np.ones((3, 5), dtype=np.complex128), "cklms", config)
+        assert (info.value.run, info.value.iteration) == (2, 3)
+
     def test_shapes_and_algorithm_checked(self):
-        """Inputs are (R, N, L), targets (R, N); only the linear algorithms run in lockstep."""
+        """Inputs are (R, N, L), targets (R, N); the config must match the algorithm."""
         config = LinearLmsConfig(mu=0.1)
         inputs = np.zeros((2, 4, 3), dtype=np.complex128)
         with pytest.raises(ValueError, match="expected non-empty inputs"):
-            run_linear_block(inputs, np.zeros((2, 3)), "nclms", config)
+            run_block(inputs, np.zeros((2, 3)), "nclms", config)
         with pytest.raises(ValueError, match="expected non-empty inputs"):
-            run_linear_block(inputs[0], np.zeros(4), "nclms", config)
-        with pytest.raises(ValueError, match="nclms or wl_nclms"):
-            run_linear_block(inputs, np.zeros((2, 4)), "cklms", config)
-        with pytest.raises(TypeError):
+            run_block(inputs[0], np.zeros(4), "nclms", config)
+        with pytest.raises(TypeError, match="cklms requires a CklmsConfig"):
+            run_block(inputs, np.zeros((2, 4)), "cklms", config)
+        with pytest.raises(TypeError, match="nclms requires a LinearLmsConfig"):
             kernel_config = CklmsConfig(complex_gaussian(1.0), 1.0)
-            run_linear_block(inputs, np.zeros((2, 4)), "nclms", kernel_config)
+            run_block(inputs, np.zeros((2, 4)), "nclms", kernel_config)
 
 
 class TestRunFilter:
@@ -602,7 +636,7 @@ class TestRunFilter:
 
     @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
     def test_linear_run_matches_step_loop(self, algorithm):
-        """run_filter's one-run lockstep path returns the step loop's records and state."""
+        """run_filter returns the step loop's records and state."""
         rng = np.random.default_rng(74)
         samples = random_samples(rng, 40, 3)
         widely_linear = algorithm == "wl_nclms"
@@ -663,6 +697,26 @@ class TestSnapshots:
         doc["coefficients"] = doc["coefficients"][:2]
         with pytest.raises(ValueError, match="3 centers but 2 coefficients"):
             restore_state(doc)
+
+    def test_linear_weight_lengths_must_match(self):
+        """A widely linear snapshot whose w and g differ in length is refused."""
+        state = new_linear_state(3, widely_linear=True)
+        doc = snapshot_state(state)
+        doc["g"] = doc["g"][:2]
+        with pytest.raises(ValueError, match=r"conjugate weights have shape \(2,\), weights \(3,\)"):
+            restore_state(doc)
+
+    def test_non_finite_center_rejected(self):
+        """A center cklms_step could never have admitted is refused, not restored."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
+        rng = np.random.default_rng(83)
+        for z, d in random_samples(rng, 3, 2):
+            state, _ = cklms_step(state, z, d)
+        for value in (math.nan, math.inf):
+            doc = snapshot_state(state)
+            doc["centers"][1][0] = [0.5, value]
+            with pytest.raises(ValueError, match="snapshot center 1 has non-finite components"):
+                restore_state(doc)
 
     def test_unknown_snapshot_rejected(self):
         """Restoring an unrecognized document is a usage error."""
