@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -122,9 +123,10 @@ class NoveltyConfig:
 class Dictionary:
     """Append-only center/coefficient store with amortized growth.
 
-    Entries are never removed or mutated after admission. ``centers`` and
-    ``coefficients`` expose read-only views of the live prefix; internal
-    buffers double in capacity as the dictionary grows. Besides kappa(c, c),
+    Entries are never removed or mutated after admission. ``centers``,
+    ``coefficients``, ``self_kernels`` and ``squares`` expose read-only views
+    of the live prefix, built once per dictionary size; internal buffers
+    double in capacity as the dictionary grows. Besides kappa(c, c),
     each entry caches ``sum_i c_i**2``, with which ``kernel_vector``
     evaluates the kernel against every center with one matrix-vector product.
     """
@@ -135,6 +137,7 @@ class Dictionary:
         self._self_kernels = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
         self._squares = np.empty(_INITIAL_CAPACITY, dtype=np.complex128)
         self._size = 0
+        self._views = None
 
     def __len__(self):
         return self._size
@@ -148,35 +151,44 @@ class Dictionary:
         """Component count of stored centers, or None while empty."""
         return None if self._centers is None else self._centers.shape[1]
 
+    def _live_views(self) -> tuple:
+        """Read-only (centers, coefficients, self_kernels, squares) views of the live prefix.
+
+        Built on first use and kept until the next ``append``, so a filter step
+        reads all four without slicing the buffers again.
+        """
+        if self._views is None:
+            n = self._size
+            centers = (
+                np.empty((0, 0), dtype=np.complex128)
+                if self._centers is None
+                else self._centers[:n]
+            )
+            views = (centers, self._coefficients[:n], self._self_kernels[:n], self._squares[:n])
+            for view in views:
+                view.setflags(write=False)
+            self._views = views
+        return self._views
+
     @property
     def centers(self) -> np.ndarray:
-        """Read-only (size, dim) view of the admitted centers."""
-        if self._centers is None:
-            return np.empty((0, 0), dtype=np.complex128)
-        view = self._centers[: self._size]
-        view.setflags(write=False)
-        return view
+        """Read-only (size, dim) view of the admitted centers; (0, 0) while empty."""
+        return self._live_views()[0]
 
     @property
     def coefficients(self) -> np.ndarray:
         """Read-only (size,) view of the coefficients a(k)."""
-        view = self._coefficients[: self._size]
-        view.setflags(write=False)
-        return view
+        return self._live_views()[1]
 
     @property
     def self_kernels(self) -> np.ndarray:
         """Read-only (size,) view of cached kappa(c, c) values."""
-        view = self._self_kernels[: self._size]
-        view.setflags(write=False)
-        return view
+        return self._live_views()[2]
 
     @property
     def squares(self) -> np.ndarray:
         """Read-only (size,) view of cached ``sum_i c_i**2`` values."""
-        view = self._squares[: self._size]
-        view.setflags(write=False)
-        return view
+        return self._live_views()[3]
 
     def append(self, center: np.ndarray, coefficient: complex, self_k: float):
         if self._centers is None:
@@ -203,6 +215,7 @@ class Dictionary:
         self._self_kernels[self._size] = self_k
         self._squares[self._size] = np.add.reduce(stored * stored)
         self._size += 1
+        self._views = None
 
 
 @dataclass
@@ -263,14 +276,14 @@ def _as_sample_vector(z) -> np.ndarray:
     zv = np.asarray(z, dtype=np.complex128)
     if zv.ndim != 1 or zv.size == 0:
         raise ValueError("input must be a 1-D vector with at least one component")
-    if not np.all(np.isfinite(zv)):
+    if not np.isfinite(zv).all():
         raise ArithmeticError("input vector has non-finite components")
     return zv
 
 
 def _as_target(d) -> np.complex128:
     dv = np.complex128(d)
-    if not np.isfinite(dv):
+    if not cmath.isfinite(dv):
         raise ArithmeticError(f"target value {dv} is not finite")
     return dv
 
@@ -298,31 +311,43 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
     iteration counter. Raises ArithmeticError on non-finite inputs.
     """
     zv = _as_sample_vector(z)
-    dv = _as_target(d)
+    dv = complex(_as_target(d))
     dictionary = state.dictionary
-    m = dictionary.size
     kzz = self_kernel(zv, state.kernel)
-    if m == 0:
-        prediction = np.complex128(0)
+    # scalars are Python complex and float from here on: the same IEEE operations as on
+    # numpy scalars, without numpy's per-operation dispatch
+    if dictionary.size == 0:
+        prediction = 0j
         error = dv
         admitted = True
     else:
-        kvec = kernel_vector(zv, dictionary.centers, state.kernel, dictionary.squares)
-        prediction = np.dot(dictionary.coefficients, kvec)
+        centers, coefficients, self_kernels, squares = dictionary._live_views()
+        kvec = kernel_vector(zv, centers, state.kernel, squares)
+        prediction = complex(np.dot(coefficients, kvec))
         error = dv - prediction
-        distance_sq = kzz + dictionary.self_kernels - 2.0 * kvec.real
-        dis = np.sqrt(max(float(distance_sq.min()), 0.0))
+        distance_sq = kzz + self_kernels
+        distance_sq -= 2.0 * kvec.real
+        dis = math.sqrt(max(float(distance_sq.min()), 0.0))
         # novelty criterion; finiteness is tested explicitly because every
         # comparison with NaN is false and |nan + inf j| is inf
         admitted = bool(
             cmath.isfinite(error)
             and dis >= state.novelty.delta1
-            and np.abs(error) >= state.novelty.delta2
+            and _modulus(error) >= state.novelty.delta2
         )
     if admitted:
-        dictionary.append(zv.copy(), state.mu * error, kzz)
+        dictionary.append(zv, state.mu * error, kzz)  # append copies zv into its buffer
     state.iteration += 1
-    return state, _step_record(prediction, error, admitted, dictionary.size)
+    squared_error = error.real * error.real + error.imag * error.imag
+    return state, StepRecord(prediction, error, squared_error, admitted, dictionary.size)
+
+
+def _modulus(e: complex) -> float:
+    """|e| by libm ``hypot``, as ``np.abs`` computes it, for finite ``e``."""
+    try:
+        return abs(e)
+    except OverflowError:  # finite parts whose modulus exceeds the float range; numpy gives inf
+        return math.inf
 
 
 def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
@@ -629,22 +654,36 @@ def restore_state(doc: dict):
                 f"snapshot has {len(doc['centers'])} centers but "
                 f"{len(doc['coefficients'])} coefficients"
             )
+        iteration = doc["iteration"]
+        # bool is an int subclass, and a string or negative count breaks the next step
+        counter = isinstance(iteration, numbers.Integral) and not isinstance(iteration, bool)
+        if not counter or iteration < 0:
+            raise ValueError(
+                f"snapshot iteration must be a non-negative integer, got {iteration!r}"
+            )
+        # cklms_step never admits a non-finite center or coefficient
         for k, (center_pairs, coeff_pair) in enumerate(zip(doc["centers"], doc["coefficients"])):
             center = np.array([complex(re, im) for re, im in center_pairs])
-            if not np.all(np.isfinite(center)):  # cklms_step never admits such a center
+            if not np.all(np.isfinite(center)):
                 raise ValueError(f"snapshot center {k} has non-finite components")
-            state.dictionary.append(
-                center, complex(*coeff_pair), self_kernel(center, state.kernel)
-            )
-        state.iteration = doc["iteration"]
+            coefficient = complex(*coeff_pair)
+            if not cmath.isfinite(coefficient):
+                raise ValueError(f"snapshot coefficient {k} is not finite")
+            state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
+        state.iteration = int(iteration)
         return state
     if algorithm in ("nclms", "wl_nclms"):
-        w = np.array([complex(re, im) for re, im in doc["w"]], dtype=np.complex128)
-        g = None
-        if doc.get("g") is not None:
-            g = np.array([complex(re, im) for re, im in doc["g"]], dtype=np.complex128)
+        w = _finite_weights(doc["w"], "w")
+        g = None if doc.get("g") is None else _finite_weights(doc["g"], "g")
         return LinearFilterState(w=w, g=g, epsilon=doc["epsilon"])
     raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
+
+
+def _finite_weights(pairs, name: str) -> np.ndarray:
+    weights = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    if not np.isfinite(weights).all():  # a step on such a weight predicts inf or NaN
+        raise ValueError(f"snapshot {name} has non-finite components")
+    return weights
 
 
 def _pair(c) -> list:

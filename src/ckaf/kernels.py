@@ -176,25 +176,33 @@ def _factored_row(
     real Gaussian on ``x = Re z``, and ``kappa = conj(g)`` for the linear
     kernel. The result agrees with ``kernel_matrix(z[None], centers, spec)[0]``
     to rounding, and has its dtype.
+
+    The complex Gaussian branch takes ``-2 g`` straight from the product with
+    ``-2 w`` (scaling by a power of two is exact, so this is ``-2 * g`` bit for
+    bit) and multiplies the exponent by ``-1 / sigma**2``: numpy divides a
+    complex array by a real scalar with Smith's algorithm, which computes this
+    same reciprocal product at several times the cost. For a finite exponent
+    the two differ at most in the sign of an exactly zero real or imaginary
+    part, never in a value.
     """
     w = np.conj(z)
     # einsum, not centers @ w: matmul is a BLAS GEMV, which OpenBLAS spreads over all cores
     # from about a thousand centers on when its thread count is not pinned, nearly doubling
     # the CPU time of a step without shortening it; einsum runs on the calling thread
+    if spec.family == COMPLEX_GAUSSIAN:
+        # the (m,) product is the only (m,) array: the exponent and its exp are computed in
+        # place in it
+        row = np.einsum("ij,j->i", centers, -2.0 * w)
+        row += np.add.reduce(w * w)
+        row += squares
+        row *= -1.0 / spec.sigma**2
+        np.exp(row, out=row)
+        return np.conjugate(row, out=row)
     g = np.einsum("ij,j->i", centers, w)
     if spec.family == LINEAR:
         return np.conjugate(g, out=g)
-    if spec.family == REAL_GAUSSIAN:
-        x = z.real
-        return np.exp((x @ x - 2.0 * g.real + squares.real) / -spec.sigma**2)
-    # g is a fresh (m,) array: the exponent and its exp are computed in place, with no
-    # further (m,) temporaries
-    g *= -2.0
-    g += np.add.reduce(w * w)
-    g += squares
-    np.divide(g, -spec.sigma**2, out=g)
-    np.exp(g, out=g)
-    return np.conjugate(g, out=g)
+    x = z.real
+    return np.exp((x @ x - 2.0 * g.real + squares.real) / -spec.sigma**2)
 
 
 def _pair_value(z, w, spec: KernelSpec):

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ckaf.filters
 from ckaf.channel import (
     ChannelConfig,
     EmbeddingConfig,
@@ -20,6 +21,7 @@ from ckaf.channel import (
 from ckaf.filters import (
     CklmsConfig,
     CklmsState,
+    Dictionary,
     FilterStepError,
     LinearLmsConfig,
     NoveltyConfig,
@@ -75,6 +77,48 @@ def brute_force_cklms(samples, sigma, mu, delta1, delta2):
             centers.append(z)
             coeffs.append(mu * e)
         trace.append((pred, e, admitted, len(centers)))
+    return trace
+
+
+def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
+    """The complex-Gaussian kernel LMS step on numpy scalars, the reference for its bits.
+
+    The row multiplies the product by ``-2.0`` and calls ``np.divide`` by ``-sigma**2``,
+    the distance is one three-term expression, and ``np.sqrt``/``np.abs`` act on numpy
+    scalars. ``cklms_step`` folds the ``-2`` into the product, multiplies by the
+    reciprocal and works on Python scalars; the two must round identically. Returns
+    ``(prediction, error, admitted, size)`` per sample.
+    """
+    centers, coefficients, self_kernels, squares = [], [], [], []
+    trace = []
+    for z, d in samples:
+        zv = np.asarray(z, dtype=np.complex128)
+        dv = np.complex128(d)
+        kzz = self_kernel(zv, spec)
+        if not centers:
+            prediction = np.complex128(0)
+            error = dv
+            admitted = True
+        else:
+            w = np.conj(zv)
+            g = np.einsum("ij,j->i", np.array(centers), w)
+            g *= -2.0
+            g += np.add.reduce(w * w)
+            g += np.array(squares)
+            np.divide(g, -spec.sigma**2, out=g)
+            np.exp(g, out=g)
+            kvec = np.conjugate(g, out=g)
+            prediction = np.dot(np.array(coefficients), kvec)
+            error = dv - prediction
+            distance_sq = kzz + np.array(self_kernels) - 2.0 * kvec.real
+            dis = np.sqrt(max(float(distance_sq.min()), 0.0))
+            admitted = bool(cmath.isfinite(error) and dis >= delta1 and np.abs(error) >= delta2)
+        if admitted:
+            centers.append(zv.copy())
+            coefficients.append(mu * error)
+            self_kernels.append(kzz)
+            squares.append(np.add.reduce(zv * zv))
+        trace.append((complex(prediction), complex(error), admitted, len(centers)))
     return trace
 
 
@@ -166,6 +210,51 @@ class TestKernelRow:
         assert np.all(np.abs(row - expected) <= 1e-13 * scale)
         restored = restore_state(json.loads(json.dumps(snapshot_state(state)))).dictionary
         assert kernel_vector(z, restored.centers, spec, restored.squares).tobytes() == row.tobytes()
+
+
+class TestDictionaryViews:
+    VIEWS = ("centers", "coefficients", "self_kernels", "squares")
+
+    def test_views_follow_appends_across_buffer_doublings(self):
+        """After every append the four views have the new length and the stored values;
+        a view taken earlier keeps its length."""
+        rng = np.random.default_rng(95)
+        points = rng.standard_normal((129, 3)) + 1j * rng.standard_normal((129, 3))
+        dictionary = Dictionary()
+        for k, c in enumerate(points):
+            before = dictionary.centers
+            dictionary.append(c, complex(k, -k), float(k))
+            size = k + 1
+            if size not in (63, 64, 65, 128, 129):
+                continue
+            assert before.shape[0] == size - 1
+            assert np.array_equal(dictionary.centers, points[:size])
+            assert np.array_equal(dictionary.coefficients, np.arange(size) * (1 - 1j))
+            assert np.array_equal(dictionary.self_kernels, np.arange(size, dtype=float))
+            expected_squares = np.add.reduce(points[:size] * points[:size], axis=1)
+            assert np.array_equal(dictionary.squares, expected_squares)
+
+    def test_views_are_read_only(self):
+        """No view lets a caller write into the dictionary, the empty one included."""
+        dictionary = Dictionary()
+        assert dictionary.centers.shape == (0, 0)
+        with pytest.raises(ValueError):
+            dictionary.centers[...] = 1.0
+        dictionary.append(np.array([0.5 + 0.5j, 1.0]), 1 + 0j, 1.0)
+        for name in self.VIEWS:
+            view = getattr(dictionary, name)
+            with pytest.raises(ValueError):
+                view[0] = 0.0
+
+    def test_restored_dictionary_has_equal_views(self):
+        """A dictionary rebuilt from a snapshot exposes the same four views."""
+        state = new_cklms_state(complex_gaussian(1.5), mu=0.5)
+        for z, d in random_samples(np.random.default_rng(96), 70, 2):
+            state, _ = cklms_step(state, z, d)
+        restored = restore_state(json.loads(json.dumps(snapshot_state(state))))
+        for name in self.VIEWS:
+            original = getattr(state.dictionary, name)
+            assert getattr(restored.dictionary, name).tobytes() == original.tobytes()
 
 
 class TestCklmsStep:
@@ -281,6 +370,88 @@ class TestCklmsStep:
                 NoveltyConfig(*thresholds)
         with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
             new_cklms_state(complex_gaussian(math.inf), mu=1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        sigma=st.floats(0.5, 6.0),
+        mu=st.floats(0.05, 2.0),
+        imag_scale=st.floats(0.0, 1.5),
+        delta1=st.sampled_from([0.0, 0.01, 0.1]),
+        delta2=st.sampled_from([0.0, 0.01, 0.1]),
+    )
+    # thresholds 0 admit all 150 samples, across the buffer doublings at 64 and 128 centers
+    @example(seed=7, dim=5, sigma=5.0, mu=1.0, imag_scale=1.0, delta1=0.0, delta2=0.0)
+    # diverges: errors grow past 1e308 in modulus, then to inf and NaN
+    @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0)
+    def test_step_bits_match_numpy_scalar_step(
+        self, seed, dim, sigma, mu, imag_scale, delta1, delta2
+    ):
+        """Predictions and errors equal the numpy-scalar step's as raw bytes, diverged runs
+        included, and admissions and dictionary sizes are equal."""
+        rng = np.random.default_rng(seed)
+        n = 150
+        z = rng.standard_normal((n, dim)) + 1j * imag_scale * rng.standard_normal((n, dim))
+        d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        samples = list(zip(z, d))
+        spec = complex_gaussian(sigma)
+        state = new_cklms_state(spec, mu, NoveltyConfig(delta1, delta2))
+        with np.errstate(all="ignore"):
+            expected = numpy_scalar_cklms(samples, spec, mu, delta1, delta2)
+            records = [cklms_step(state, zi, di)[1] for zi, di in samples]
+        got = np.array([r.prediction for r in records])
+        assert got.tobytes() == np.array([e[0] for e in expected]).tobytes()
+        got = np.array([r.error for r in records])
+        assert got.tobytes() == np.array([e[1] for e in expected]).tobytes()
+        assert [r.admitted for r in records] == [e[2] for e in expected]
+        assert [r.dict_size for r in records] == [e[3] for e in expected]
+        if delta1 == delta2 == 0.0:  # every finite error is admitted
+            assert state.dictionary.size == sum(cmath.isfinite(r.error) for r in records)
+
+    def test_error_modulus_beyond_float_range(self):
+        """A finite error whose modulus exceeds the float range compares as |e| = inf."""
+        state = new_cklms_state(complex_gaussian(1.0), 0.5, NoveltyConfig(0.1, 1.0))
+        state, _ = cklms_step(state, [0.1 + 0j], 1 + 0j)
+        state, record = cklms_step(state, [3.0 + 0j], 1.5e308 + 1.5e308j)
+        assert record.admitted
+        assert cmath.isfinite(record.error) and record.squared_error == math.inf
+
+    def test_real_inputs_match_numpy_scalar_step(self):
+        """On real inputs, where an exactly zero imaginary part may change sign, every value
+        equals the numpy-scalar step's."""
+        rng = np.random.default_rng(90)
+        samples = list(zip(rng.standard_normal((150, 4)) + 0j, rng.standard_normal(150) + 0j))
+        spec = complex_gaussian(2.0)
+        state = new_cklms_state(spec, 0.5, NoveltyConfig(0.05, 0.01))
+        expected = numpy_scalar_cklms(samples, spec, 0.5, 0.05, 0.01)
+        records = [cklms_step(state, z, d)[1] for z, d in samples]
+        assert np.array_equal([r.prediction for r in records], [e[0] for e in expected])
+        assert np.array_equal([r.error for r in records], [e[1] for e in expected])
+        assert [(r.admitted, r.dict_size) for r in records] == [e[2:] for e in expected]
+
+    def test_kernel_calls_resolved_per_step(self, monkeypatch):
+        """Each step calls the module globals self_kernel once and, on a non-empty
+        dictionary, kernel_vector once, looked up at call time; a tracer that wraps
+        these two names counts every kernel evaluation."""
+        calls = {"self_kernel": 0, "kernel_vector": 0}
+
+        def counting(name):
+            original = getattr(ckaf.filters, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        state = new_cklms_state(complex_gaussian(2.0), 0.5, NoveltyConfig(0.1, 0.01))
+        samples = random_samples(np.random.default_rng(91), 40, 3)
+        for name in calls:
+            monkeypatch.setattr(ckaf.filters, name, counting(name))
+        for z, d in samples:
+            state, _ = cklms_step(state, z, d)
+        assert calls == {"self_kernel": 40, "kernel_vector": 39}
 
 
 class TestNclmsStep:
@@ -717,6 +888,33 @@ class TestSnapshots:
             doc["centers"][1][0] = [0.5, value]
             with pytest.raises(ValueError, match="snapshot center 1 has non-finite components"):
                 restore_state(doc)
+
+    def test_non_finite_coefficient_rejected(self):
+        """A NaN or infinite coefficient would make every later prediction non-finite."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
+        for z, d in random_samples(np.random.default_rng(84), 3, 2):
+            state, _ = cklms_step(state, z, d)
+        for value in (math.nan, math.inf, -math.inf):
+            doc = snapshot_state(state)
+            doc["coefficients"][2] = [value, 0.0]
+            with pytest.raises(ValueError, match="snapshot coefficient 2 is not finite"):
+                restore_state(doc)
+
+    @pytest.mark.parametrize("name", ["w", "g"])
+    def test_non_finite_linear_weight_rejected(self, name):
+        """A non-finite weight would make every later prediction non-finite."""
+        doc = snapshot_state(new_linear_state(3, widely_linear=True))
+        doc[name][1] = [0.0, math.inf]
+        with pytest.raises(ValueError, match=f"snapshot {name} has non-finite components"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize("iteration", ["7", -5, 2.0, True, None])
+    def test_iteration_must_be_a_non_negative_integer(self, iteration):
+        """The iteration counter is refused unless it is a non-negative int."""
+        doc = snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
+        doc["iteration"] = iteration
+        with pytest.raises(ValueError, match="snapshot iteration must be a non-negative integer"):
+            restore_state(doc)
 
     def test_unknown_snapshot_rejected(self):
         """Restoring an unrecognized document is a usage error."""
