@@ -123,99 +123,81 @@ class NoveltyConfig:
 class Dictionary:
     """Append-only center/coefficient store with amortized growth.
 
-    Entries are never removed or mutated after admission. ``centers``,
-    ``coefficients``, ``self_kernels`` and ``squares`` expose read-only views
-    of the live prefix, built once per dictionary size; internal buffers
-    double in capacity as the dictionary grows. Besides kappa(c, c),
-    each entry caches ``sum_i c_i**2``, with which ``kernel_vector``
-    evaluates the kernel against every center with one matrix-vector product.
+    Entries are never removed or mutated after admission. The four per-center
+    arrays (centers, coefficients, kappa(c, c) and ``sum_i c_i**2``) live in
+    one tuple of buffers that doubles in capacity as the dictionary grows.
+    ``views`` holds read-only views of their live prefixes, in that order, and
+    ``append``, the only method that changes the contents, rebuilds it; the
+    ``centers``, ``coefficients``, ``self_kernels`` and ``squares`` properties
+    read it. With the cached squares ``kernel_vector`` evaluates the kernel
+    against every center with one matrix-vector product.
     """
 
     def __init__(self):
-        self._centers = None
-        self._coefficients = np.empty(_INITIAL_CAPACITY, dtype=np.complex128)
-        self._self_kernels = np.empty(_INITIAL_CAPACITY, dtype=np.float64)
-        self._squares = np.empty(_INITIAL_CAPACITY, dtype=np.complex128)
         self._size = 0
-        self._views = None
-
-    def __len__(self):
-        return self._size
+        self._keep(_new_buffers(0, 0))  # the first append allocates them at its width
+        self.views = self._read_only
 
     @property
     def size(self) -> int:
         return self._size
 
     @property
-    def dim(self) -> Optional[int]:
-        """Component count of stored centers, or None while empty."""
-        return None if self._centers is None else self._centers.shape[1]
-
-    def _live_views(self) -> tuple:
-        """Read-only (centers, coefficients, self_kernels, squares) views of the live prefix.
-
-        Built on first use and kept until the next ``append``, so a filter step
-        reads all four without slicing the buffers again.
-        """
-        if self._views is None:
-            n = self._size
-            centers = (
-                np.empty((0, 0), dtype=np.complex128)
-                if self._centers is None
-                else self._centers[:n]
-            )
-            views = (centers, self._coefficients[:n], self._self_kernels[:n], self._squares[:n])
-            for view in views:
-                view.setflags(write=False)
-            self._views = views
-        return self._views
-
-    @property
     def centers(self) -> np.ndarray:
         """Read-only (size, dim) view of the admitted centers; (0, 0) while empty."""
-        return self._live_views()[0]
+        return self.views[0]
 
     @property
     def coefficients(self) -> np.ndarray:
         """Read-only (size,) view of the coefficients a(k)."""
-        return self._live_views()[1]
+        return self.views[1]
 
     @property
     def self_kernels(self) -> np.ndarray:
         """Read-only (size,) view of cached kappa(c, c) values."""
-        return self._live_views()[2]
+        return self.views[2]
 
     @property
     def squares(self) -> np.ndarray:
         """Read-only (size,) view of cached ``sum_i c_i**2`` values."""
-        return self._live_views()[3]
+        return self.views[3]
+
+    def _keep(self, buffers: tuple):
+        """Hold ``buffers`` and a read-only view of each, whose slices are read-only too."""
+        self._buffers = buffers
+        self._read_only = tuple(buffer.view() for buffer in buffers)
+        for view in self._read_only:
+            view.setflags(write=False)
 
     def append(self, center: np.ndarray, coefficient: complex, self_k: float):
-        if self._centers is None:
-            self._centers = np.empty(
-                (_INITIAL_CAPACITY, center.shape[0]), dtype=np.complex128
-            )
-        elif center.shape[0] != self._centers.shape[1]:
-            raise ValueError(
-                f"center has {center.shape[0]} components, dictionary stores "
-                f"{self._centers.shape[1]}"
-            )
-        if self._size == self._centers.shape[0]:
-            self._centers = np.concatenate([self._centers, np.empty_like(self._centers)])
-            self._coefficients = np.concatenate(
-                [self._coefficients, np.empty_like(self._coefficients)]
-            )
-            self._self_kernels = np.concatenate(
-                [self._self_kernels, np.empty_like(self._self_kernels)]
-            )
-            self._squares = np.concatenate([self._squares, np.empty_like(self._squares)])
-        stored = self._centers[self._size]
+        n = self._size
+        width = self._buffers[0].shape[1]
+        if n == 0:
+            self._keep(_new_buffers(_INITIAL_CAPACITY, center.shape[0]))
+        elif center.shape[0] != width:
+            raise ValueError(f"center has {center.shape[0]} components, dictionary stores {width}")
+        elif n == len(self._buffers[1]):
+            self._keep(tuple(np.concatenate([b, np.empty_like(b)]) for b in self._buffers))
+        centers, coefficients, self_kernels, squares = self._buffers
+        stored = centers[n]
         stored[:] = center
-        self._coefficients[self._size] = coefficient
-        self._self_kernels[self._size] = self_k
-        self._squares[self._size] = np.add.reduce(stored * stored)
-        self._size += 1
-        self._views = None
+        coefficients[n] = coefficient
+        self_kernels[n] = self_k
+        squares[n] = np.add.reduce(stored * stored)
+        self._size = n = n + 1
+        # slicing the read-only views costs less than a setflags call per view
+        centers, coefficients, self_kernels, squares = self._read_only
+        self.views = (centers[:n], coefficients[:n], self_kernels[:n], squares[:n])
+
+
+def _new_buffers(capacity: int, dim: int) -> tuple:
+    """Uninitialized (centers, coefficients, self_kernels, squares) buffers."""
+    return (
+        np.empty((capacity, dim), dtype=np.complex128),
+        np.empty(capacity, dtype=np.complex128),
+        np.empty(capacity, dtype=np.float64),
+        np.empty(capacity, dtype=np.complex128),
+    )
 
 
 @dataclass
@@ -242,6 +224,11 @@ class LinearFilterState:
 
     def __post_init__(self):
         _require_epsilon(self.epsilon)
+        if np.ndim(self.w) != 1 or np.size(self.w) == 0:  # no input could step such a filter
+            raise ValueError(
+                "weights must be a 1-D vector with at least one component, "
+                f"got shape {np.shape(self.w)}"
+            )
         if self.g is not None and np.shape(self.g) != np.shape(self.w):
             raise ValueError(
                 f"conjugate weights have shape {np.shape(self.g)}, weights {np.shape(self.w)}"
@@ -299,8 +286,8 @@ def cklms_predict(state: CklmsState, z) -> complex:
     dictionary = state.dictionary
     if dictionary.size == 0:
         return 0j
-    kvec = kernel_vector(zv, dictionary.centers, state.kernel, dictionary.squares)
-    return complex(np.dot(dictionary.coefficients, kvec))
+    centers, coefficients, _, squares = dictionary.views
+    return complex(np.dot(coefficients, kernel_vector(zv, centers, state.kernel, squares)))
 
 
 def cklms_step(state: CklmsState, z, d) -> tuple:
@@ -321,7 +308,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         error = dv
         admitted = True
     else:
-        centers, coefficients, self_kernels, squares = dictionary._live_views()
+        centers, coefficients, self_kernels, squares = dictionary.views
         kvec = kernel_vector(zv, centers, state.kernel, squares)
         prediction = complex(np.dot(coefficients, kvec))
         error = dv - prediction
@@ -533,7 +520,8 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
                 state, record = cklms_step(state, z, d)
             else:
                 if state is None:  # zero weights sized by the first input
-                    state = new_linear_state(np.size(z), algorithm == "wl_nclms", config.epsilon)
+                    dim = _as_sample_vector(z).shape[0]
+                    state = new_linear_state(dim, algorithm == "wl_nclms", config.epsilon)
                 step = nclms_step if algorithm == "nclms" else wl_nclms_step
                 state, record = step(state, z, d, config.mu)
         except Exception as exc:
@@ -663,27 +651,48 @@ def restore_state(doc: dict):
             )
         # cklms_step never admits a non-finite center or coefficient
         for k, (center_pairs, coeff_pair) in enumerate(zip(doc["centers"], doc["coefficients"])):
-            center = np.array([complex(re, im) for re, im in center_pairs])
-            if not np.all(np.isfinite(center)):
+            center = _complex_vector(center_pairs, f"centers[{k}]")
+            if not np.isfinite(center).all():
                 raise ValueError(f"snapshot center {k} has non-finite components")
-            coefficient = complex(*coeff_pair)
+            coefficient = _complex_pair(coeff_pair, f"coefficients[{k}]")
             if not cmath.isfinite(coefficient):
                 raise ValueError(f"snapshot coefficient {k} is not finite")
             state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
         state.iteration = int(iteration)
         return state
     if algorithm in ("nclms", "wl_nclms"):
+        widely_linear = doc.get("g") is not None
+        if widely_linear != (algorithm == "wl_nclms"):
+            verb = "has" if widely_linear else "needs"
+            raise ValueError(f"snapshot algorithm {algorithm!r} {verb} conjugate weights g")
         w = _finite_weights(doc["w"], "w")
-        g = None if doc.get("g") is None else _finite_weights(doc["g"], "g")
+        g = _finite_weights(doc["g"], "g") if widely_linear else None
         return LinearFilterState(w=w, g=g, epsilon=doc["epsilon"])
     raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
 
 
 def _finite_weights(pairs, name: str) -> np.ndarray:
-    weights = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    weights = _complex_vector(pairs, name)
     if not np.isfinite(weights).all():  # a step on such a weight predicts inf or NaN
         raise ValueError(f"snapshot {name} has non-finite components")
     return weights
+
+
+def _complex_vector(pairs, name: str) -> np.ndarray:
+    return np.array(
+        [_complex_pair(pair, f"{name}[{i}]") for i, pair in enumerate(pairs)], dtype=np.complex128
+    )
+
+
+def _complex_pair(pair, name: str) -> complex:
+    """The complex number a snapshot stores as ``[real, imag]`` at ``name``."""
+    if not (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)
+    ):
+        raise ValueError(f"snapshot {name}: expected a [real, imag] pair, got {pair!r}")
+    return complex(pair[0], pair[1])
 
 
 def _pair(c) -> list:

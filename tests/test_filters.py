@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from ckaf.filters import (
     CklmsState,
     Dictionary,
     FilterStepError,
+    LinearFilterState,
     LinearLmsConfig,
     NoveltyConfig,
     cklms_predict,
@@ -245,6 +247,28 @@ class TestDictionaryViews:
             view = getattr(dictionary, name)
             with pytest.raises(ValueError):
                 view[0] = 0.0
+
+    @pytest.mark.parametrize("size", [1, 64])
+    def test_append_of_another_width_changes_nothing(self, size):
+        """A center of another width is refused before anything is stored, also when the
+        buffers are full (size 64) and the append would have doubled them."""
+        rng = np.random.default_rng(97)
+        points = rng.standard_normal((size + 1, 3)) + 1j * rng.standard_normal((size + 1, 3))
+        dictionary = Dictionary()
+        for k, c in enumerate(points[:size]):
+            dictionary.append(c, complex(k, 1), float(k))
+        before = dictionary.views
+        snapshot = [view.copy() for view in before]
+        with pytest.raises(ValueError, match="center has 2 components, dictionary stores 3"):
+            dictionary.append(points[size, :2], 1j, 1.0)
+        assert dictionary.size == size
+        assert dictionary.views is before
+        for name, view, kept in zip(self.VIEWS, before, snapshot):
+            assert getattr(dictionary, name) is view
+            assert view.shape == kept.shape and view.tobytes() == kept.tobytes()
+        dictionary.append(points[size], 2j, 2.0)  # a matching center still goes in
+        assert dictionary.size == size + 1
+        assert np.array_equal(dictionary.centers, points)
 
     def test_restored_dictionary_has_equal_views(self):
         """A dictionary rebuilt from a snapshot exposes the same four views."""
@@ -496,6 +520,20 @@ class TestNclmsStep:
             new_linear_state(2, epsilon=epsilon)
         with pytest.raises(ValueError, match=message):
             LinearLmsConfig(mu=0.1, epsilon=epsilon)
+
+    def test_weights_must_be_a_non_empty_vector(self):
+        """A weight vector no input could step is refused when the state is built."""
+        message = "weights must be a 1-D vector with at least one component"
+        with pytest.raises(ValueError, match=message):
+            new_linear_state(0)
+        with pytest.raises(ValueError, match=message):
+            LinearFilterState(w=np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
+    def test_run_sized_by_an_empty_first_input_rejected(self, algorithm):
+        """The first input sizes the weights, so it is refused as any step refuses it."""
+        with pytest.raises(FilterStepError, match="^step 0: input must be a 1-D vector"):
+            run_filter([(np.zeros(0, dtype=complex), 0j)], algorithm, LinearLmsConfig(mu=0.1))
 
     def test_dimension_mismatch_rejected(self):
         """Input length must match the weight vector."""
@@ -914,6 +952,54 @@ class TestSnapshots:
         doc = snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
         doc["iteration"] = iteration
         with pytest.raises(ValueError, match="snapshot iteration must be a non-negative integer"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize(
+        "algorithm, g, message",
+        [
+            ("wl_nclms", None, "snapshot algorithm 'wl_nclms' needs conjugate weights g"),
+            ("nclms", [[1.0, 0.0], [0.5, 0.0]], "snapshot algorithm 'nclms' has conjugate weights g"),
+        ],
+        ids=["wl_nclms-without-g", "nclms-with-g"],
+    )
+    def test_linear_algorithm_must_match_conjugate_weights(self, algorithm, g, message):
+        """The declared algorithm, not the presence of g, decides the filter; a mismatch is refused."""
+        doc = snapshot_state(new_linear_state(2))
+        doc["algorithm"], doc["g"] = algorithm, g
+        with pytest.raises(ValueError, match=message):
+            restore_state(doc)
+
+    def test_empty_linear_weights_rejected(self):
+        """A snapshot with no weights would build a filter that no input can step."""
+        doc = snapshot_state(new_linear_state(2, widely_linear=True))
+        doc["w"], doc["g"] = [], []
+        with pytest.raises(ValueError, match="weights must be a 1-D vector with at least one component"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [[0.5], [0.5, 0.0, 1.0], [], 0.5, "ab", [True, 0.0], [0.5, None]],
+        ids=["one-number", "three-numbers", "empty", "number", "string", "bool", "null"],
+    )
+    @pytest.mark.parametrize(
+        "field, where",
+        [("centers", "centers[1][0]"), ("coefficients", "coefficients[1]"), ("w", "w[1]"), ("g", "g[1]")],
+    )
+    def test_malformed_pair_rejected(self, field, where, pair):
+        """Every stored complex value must be a [real, imag] pair of numbers; the error names it."""
+        if field in ("w", "g"):
+            doc = snapshot_state(new_linear_state(2, widely_linear=True))
+            doc[field][1] = pair
+        else:
+            state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
+            for z, d in random_samples(np.random.default_rng(85), 3, 2):
+                state, _ = cklms_step(state, z, d)
+            doc = json.loads(json.dumps(snapshot_state(state)))
+            if field == "centers":
+                doc["centers"][1][0] = pair
+            else:
+                doc["coefficients"][1] = pair
+        with pytest.raises(ValueError, match=rf"^snapshot {re.escape(where)}: expected a \[real, imag\] pair"):
             restore_state(doc)
 
     def test_unknown_snapshot_rejected(self):
