@@ -22,8 +22,11 @@ per run.
 
 Config contract: the config dataclasses declare every setting once, its
 name, JSON type and default. ``config_from_dict`` and ``config_to_dict``
-walk their fields, so a setting added to a dataclass is parsed, validated
-and echoed without further code.
+walk their fields with ``ckaf.documents.parse`` and ``echo``, so a setting
+added to a dataclass is parsed, validated and echoed without further code.
+That one module parses and writes both configs and filter snapshots
+(``ckaf.filters.snapshot_state``/``restore_state``), so both report a bad
+value by its dotted path, e.g. ``experiment.signal.rho``.
 
 Output contract: CSV files have the header ``iteration,<label>_mse_db,...``
 with 1-based iteration numbers and %.12e values. JSON documents carry three
@@ -36,11 +39,10 @@ values of 0 are clamped to 1e-12 (-120 dB) before the dB transform.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
-from dataclasses import MISSING, dataclass, replace
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from ckaf.channel import (
     build_dataset,
     generate_input,
 )
+from ckaf.documents import ConfigError, echo, parse
 from ckaf.filters import (
     ALGORITHMS,
     CklmsConfig,
@@ -66,14 +69,6 @@ MSE_FLOOR = 1e-12
 STEADY_STATE_WINDOW = 500
 # Monte-Carlo runs per run_block call; bounds the (runs, N, L) block.
 RUN_BLOCK = 16
-
-
-class ConfigError(ValueError):
-    """A configuration document failed validation; names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 @dataclass(frozen=True)
@@ -302,12 +297,12 @@ def _emit_json(result: ExperimentResult, path) -> None:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Full JSON-ready echo of a config, defaults resolved; inverse of config_from_dict."""
-    return _echo(ExperimentConfig, cfg)
+    return echo(ExperimentConfig, cfg)
 
 
 def config_from_dict(doc: dict, path: str = "experiment") -> ExperimentConfig:
     """Parse one experiment document, reporting bad fields by dotted path."""
-    return _parse(ExperimentConfig, doc, path)
+    return parse(ExperimentConfig, doc, path)
 
 
 def load_config_file(path) -> list:
@@ -333,73 +328,3 @@ def load_config_file(path) -> list:
     if len(set(names)) != len(names):
         raise ConfigError("experiments", f"experiment names must be unique, got {names}")
     return configs
-
-
-def _config_fields(cls) -> list:
-    # Per-run seeds derive from master_seed, so "seed" is not a config key.
-    return [f for f in dataclasses.fields(cls) if f.name != "seed"]
-
-
-def _parse(cls, doc, path: str):
-    """Build config dataclass ``cls`` from a JSON object, checking every key."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "must be an object")
-    fields = _config_fields(cls)
-    names = {f.name for f in fields}
-    for key in doc:
-        if key not in names:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields:
-        tp = hints[f.name]
-        if f.name in doc:
-            values[f.name] = _parse_value(tp, doc[f.name], f"{path}.{f.name}")
-        elif dataclasses.is_dataclass(tp) and all(
-            g.default is not MISSING for g in dataclasses.fields(tp)
-        ):
-            values[f.name] = tp()  # a section whose fields all have defaults may be omitted
-        elif f.default is MISSING:
-            raise ConfigError(f"{path}.{f.name}", "missing required field")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_value(tp, value, path: str):
-    if dataclasses.is_dataclass(tp):
-        return _parse(tp, value, path)
-    if get_origin(tp) is tuple:
-        _check_type(list, value, path)
-        return tuple(_parse_value(get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
-    if tp is complex:
-        if not (isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)):
-            raise ConfigError(path, f"expected a [real, imag] pair, got {value!r}")
-        return complex(value[0], value[1])
-    if get_origin(tp) is Union:  # Optional[X]: null is not accepted, only X
-        tp = get_args(tp)[0]
-    return _check_type(tp, value, path)
-
-
-def _check_type(tp, value, path: str):
-    accepted, expected = ((int, float), "number") if tp is float else (tp, tp.__name__)
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ConfigError(path, f"expected {expected}, got {value!r}")
-    return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _echo(tp, value):
-    """JSON form of ``value`` declared as ``tp``: objects, lists, [real, imag] pairs."""
-    if dataclasses.is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return {f.name: _echo(hints[f.name], getattr(value, f.name)) for f in _config_fields(tp)}
-    if get_origin(tp) is tuple:
-        return [_echo(get_args(tp)[0], v) for v in value]
-    if tp is complex:
-        return [float(np.real(value)), float(np.imag(value))]
-    return value

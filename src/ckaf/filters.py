@@ -62,12 +62,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ckaf.documents import echo, parse
 from ckaf.kernels import KernelSpec, kernel_vector, self_kernel
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -216,7 +216,12 @@ class CklmsState:
 
 @dataclass
 class LinearFilterState:
-    """Explicit-weight state for nclms (g is None) and wl_nclms (g is set)."""
+    """Explicit-weight state for nclms (g is None) and wl_nclms (g is set).
+
+    ``w`` and ``g`` are stored as complex128 arrays. One that already is
+    such an array is kept, not copied, so the steps' in-place updates reach
+    the caller's array; anything else (a list, a real array) is converted.
+    """
 
     w: np.ndarray
     g: Optional[np.ndarray] = None
@@ -224,6 +229,9 @@ class LinearFilterState:
 
     def __post_init__(self):
         _require_epsilon(self.epsilon)
+        self.w = np.asarray(self.w, dtype=np.complex128)
+        if self.g is not None:
+            self.g = np.asarray(self.g, dtype=np.complex128)
         if np.ndim(self.w) != 1 or np.size(self.w) == 0:  # no input could step such a filter
             raise ValueError(
                 "weights must be a 1-D vector with at least one component, "
@@ -600,6 +608,29 @@ def _check_realization(inputs: np.ndarray, targets: np.ndarray, run: int) -> Non
         raise FilterStepError(i, f"target value {targets[i]} is not finite", run=run)
 
 
+@dataclass(frozen=True)
+class _CklmsSnapshot:
+    """The cklms snapshot document; field order is the document's key order."""
+
+    algorithm: str
+    kernel: KernelSpec
+    mu: float
+    novelty: NoveltyConfig
+    iteration: int
+    centers: tuple[tuple[complex, ...], ...]
+    coefficients: tuple[complex, ...]
+
+
+@dataclass(frozen=True)
+class _LinearSnapshot:
+    """The nclms and wl_nclms snapshot document; ``g`` is null for nclms."""
+
+    algorithm: str
+    epsilon: float
+    w: tuple[complex, ...]
+    g: Optional[tuple[complex, ...]] = None
+
+
 def snapshot_state(state) -> dict:
     """JSON-ready snapshot of a filter state.
 
@@ -609,91 +640,57 @@ def snapshot_state(state) -> dict:
     weight vector(s) and epsilon. Complex values are stored as [real, imag].
     """
     if isinstance(state, CklmsState):
-        return {
-            "algorithm": "cklms",
-            "kernel": {"family": state.kernel.family, "sigma": state.kernel.sigma},
-            "mu": state.mu,
-            "novelty": {"delta1": state.novelty.delta1, "delta2": state.novelty.delta2},
-            "iteration": state.iteration,
-            "centers": [[_pair(c) for c in row] for row in state.dictionary.centers],
-            "coefficients": [_pair(a) for a in state.dictionary.coefficients],
-        }
-    if isinstance(state, LinearFilterState):
-        return {
-            "algorithm": "nclms" if state.g is None else "wl_nclms",
-            "epsilon": state.epsilon,
-            "w": [_pair(c) for c in state.w],
-            "g": None if state.g is None else [_pair(c) for c in state.g],
-        }
-    raise TypeError(f"cannot snapshot object of type {type(state).__name__}")
-
-
-def restore_state(doc: dict):
-    """Rebuild a filter state from a snapshot_state document."""
-    algorithm = doc.get("algorithm")
-    if algorithm == "cklms":
-        state = new_cklms_state(
-            KernelSpec(doc["kernel"]["family"], doc["kernel"]["sigma"]),
-            doc["mu"],
-            NoveltyConfig(doc["novelty"]["delta1"], doc["novelty"]["delta2"]),
+        snapshot = _CklmsSnapshot(
+            "cklms", state.kernel, state.mu, state.novelty, state.iteration,
+            state.dictionary.centers, state.dictionary.coefficients,
         )
-        if len(doc["centers"]) != len(doc["coefficients"]):
+    elif isinstance(state, LinearFilterState):
+        algorithm = "nclms" if state.g is None else "wl_nclms"
+        snapshot = _LinearSnapshot(algorithm, state.epsilon, state.w, state.g)
+    else:
+        raise TypeError(f"cannot snapshot object of type {type(state).__name__}")
+    return echo(type(snapshot), snapshot)
+
+
+def restore_state(doc):
+    """Rebuild a filter state from a snapshot_state document.
+
+    The document is parsed by ``ckaf.documents.parse`` at path ``snapshot``,
+    so a missing, unknown or mistyped field raises a ValueError naming its
+    dotted path. States that no run of the filter could reach are refused
+    too: unequal center and coefficient counts, a negative iteration, and
+    non-finite centers, coefficients or weights.
+    """
+    # a document that is not an object is refused by parse
+    algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
+    snap = parse(_CklmsSnapshot if algorithm == "cklms" else _LinearSnapshot, doc, "snapshot")
+    if algorithm == "cklms":
+        state = CklmsState(snap.kernel, snap.mu, snap.novelty, iteration=snap.iteration)
+        if len(snap.centers) != len(snap.coefficients):
             raise ValueError(
-                f"snapshot has {len(doc['centers'])} centers but "
-                f"{len(doc['coefficients'])} coefficients"
+                f"snapshot has {len(snap.centers)} centers but {len(snap.coefficients)} coefficients"
             )
-        iteration = doc["iteration"]
-        # bool is an int subclass, and a string or negative count breaks the next step
-        counter = isinstance(iteration, numbers.Integral) and not isinstance(iteration, bool)
-        if not counter or iteration < 0:
+        if snap.iteration < 0:  # a negative count breaks the next step
             raise ValueError(
-                f"snapshot iteration must be a non-negative integer, got {iteration!r}"
+                f"snapshot iteration must be a non-negative integer, got {snap.iteration!r}"
             )
         # cklms_step never admits a non-finite center or coefficient
-        for k, (center_pairs, coeff_pair) in enumerate(zip(doc["centers"], doc["coefficients"])):
-            center = _complex_vector(center_pairs, f"centers[{k}]")
+        for k, (center, coefficient) in enumerate(zip(snap.centers, snap.coefficients)):
+            center = np.array(center, dtype=np.complex128)
             if not np.isfinite(center).all():
                 raise ValueError(f"snapshot center {k} has non-finite components")
-            coefficient = _complex_pair(coeff_pair, f"coefficients[{k}]")
             if not cmath.isfinite(coefficient):
                 raise ValueError(f"snapshot coefficient {k} is not finite")
             state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
-        state.iteration = int(iteration)
         return state
-    if algorithm in ("nclms", "wl_nclms"):
-        widely_linear = doc.get("g") is not None
-        if widely_linear != (algorithm == "wl_nclms"):
-            verb = "has" if widely_linear else "needs"
-            raise ValueError(f"snapshot algorithm {algorithm!r} {verb} conjugate weights g")
-        w = _finite_weights(doc["w"], "w")
-        g = _finite_weights(doc["g"], "g") if widely_linear else None
-        return LinearFilterState(w=w, g=g, epsilon=doc["epsilon"])
-    raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
-
-
-def _finite_weights(pairs, name: str) -> np.ndarray:
-    weights = _complex_vector(pairs, name)
-    if not np.isfinite(weights).all():  # a step on such a weight predicts inf or NaN
-        raise ValueError(f"snapshot {name} has non-finite components")
-    return weights
-
-
-def _complex_vector(pairs, name: str) -> np.ndarray:
-    return np.array(
-        [_complex_pair(pair, f"{name}[{i}]") for i, pair in enumerate(pairs)], dtype=np.complex128
-    )
-
-
-def _complex_pair(pair, name: str) -> complex:
-    """The complex number a snapshot stores as ``[real, imag]`` at ``name``."""
-    if not (
-        isinstance(pair, (list, tuple))
-        and len(pair) == 2
-        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)
-    ):
-        raise ValueError(f"snapshot {name}: expected a [real, imag] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
-
-
-def _pair(c) -> list:
-    return [float(np.real(c)), float(np.imag(c))]
+    widely_linear = snap.g is not None
+    if widely_linear != (algorithm == "wl_nclms"):
+        verb = "has" if widely_linear else "needs"
+        raise ValueError(f"snapshot algorithm {algorithm!r} {verb} conjugate weights g")
+    state = LinearFilterState(w=snap.w, g=snap.g, epsilon=snap.epsilon)
+    for name, weights in (("w", state.w), ("g", state.g)):
+        if weights is not None and not np.isfinite(weights).all():  # a step would predict inf or NaN
+            raise ValueError(f"snapshot {name} has non-finite components")
+    return state

@@ -195,6 +195,7 @@ def test_criterion_4_linear_kernel_equivalence():
     assert passed, line
 
 
+@pytest.mark.slow
 def test_criterion_5_circular_benchmark(circular_result):
     """Kernel filter beats both linear baselines by >= 2 dB on circular input."""
     curves = circular_result.curves
@@ -213,6 +214,7 @@ def test_criterion_5_circular_benchmark(circular_result):
     assert passed, line
 
 
+@pytest.mark.slow
 def test_criterion_6_non_circular_benchmark(non_circular_result):
     """Same ordering on non-circular input, and wl_nclms <= nclms."""
     curves = non_circular_result.curves
@@ -233,6 +235,7 @@ def test_criterion_6_non_circular_benchmark(non_circular_result):
     assert passed, line
 
 
+@pytest.mark.slow
 def test_criterion_7_sparsification(circular_result, bundled_configs):
     """Dictionaries stay below 5000 entries in every run and grow monotonically."""
     curve = circular_result.curves["cklms"]
@@ -261,6 +264,7 @@ def test_criterion_7_sparsification(circular_result, bundled_configs):
     assert passed, line
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(circular_result, bundled_configs, tmp_path):
     """Repeating the circular benchmark yields byte-identical CSV output."""
     repeat = run_experiment(bundled_configs[0])

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def random_samples(rng, n, dim, scale=0.5):
     z = scale * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
     d = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return list(zip(z, d))
+
+
+def fresh_snapshot(algorithm):
+    """The snapshot document of a new filter of ``algorithm``."""
+    if algorithm == "cklms":
+        return snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
+    return snapshot_state(new_linear_state(2, widely_linear=algorithm == "wl_nclms"))
 
 
 def brute_force_cklms(samples, sigma, mu, delta1, delta2):
@@ -173,6 +181,32 @@ class TestCklmsPredict:
             cklms_predict(state, query)
         with pytest.raises(error):
             cklms_step(state, query, 0j)
+
+    @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
+    def test_a_posteriori_error_identity(self, family):
+        """After an admitted step the error at the same input shrinks by 1 - mu kappa(z, z).
+
+        The new term mu e kappa(z, z) is the only change to the expansion at z,
+        so ``d - f_new(z) = e (1 - mu kappa(z, z))``: the error contracts only
+        while the effective step mu kappa(z, z) stays in (0, 2).
+        """
+        rng = np.random.default_rng(0)
+        samples = random_samples(rng, 600, 5)
+        if family == "real-gaussian":  # the real kernel takes real inputs only
+            samples = [(z.real.astype(complex), d) for z, d in samples]
+        spec, mu = KernelSpec(family, 5.0), 0.3
+        state = new_cklms_state(spec, mu, NoveltyConfig(0.1, 0.05))
+        admitted = 0
+        for z, d in samples:
+            state, record = cklms_step(state, z, d)
+            if not record.admitted:
+                continue
+            admitted += 1
+            step = mu * self_kernel(z, spec)
+            posterior = d - cklms_predict(state, z)
+            bound = 1e-12 * abs(record.error) * max(1.0, step)
+            assert abs(posterior - record.error * (1 - step)) <= bound, (admitted, posterior, step)
+        assert admitted > 100
 
 
 class TestKernelRow:
@@ -528,6 +562,22 @@ class TestNclmsStep:
             new_linear_state(0)
         with pytest.raises(ValueError, match=message):
             LinearFilterState(w=np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("w", [np.zeros(2), [0j, 0j]], ids=["real-array", "list"])
+    def test_weights_are_stored_as_complex_arrays(self, w):
+        """Real or list weights are converted, so the first step runs as on zero complex weights."""
+        state, record = nclms_step(LinearFilterState(w=w), [1 + 1j, 1], 1j, 0.5)
+        _, expected = nclms_step(new_linear_state(2), [1 + 1j, 1], 1j, 0.5)
+        assert state.w.dtype == np.complex128
+        assert record == expected
+
+    def test_complex_weights_are_kept_not_copied(self):
+        """A complex128 weight array is the state's own, so steps update it in place."""
+        w, g = np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128)
+        state = LinearFilterState(w=w, g=g)
+        assert state.w is w and state.g is g
+        wl_nclms_step(state, [1 + 1j, 1], 1j, 0.5)
+        assert w.any() and g.any()
 
     @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
     def test_run_sized_by_an_empty_first_input_rejected(self, algorithm):
@@ -951,7 +1001,11 @@ class TestSnapshots:
         """The iteration counter is refused unless it is a non-negative int."""
         doc = snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
         doc["iteration"] = iteration
-        with pytest.raises(ValueError, match="snapshot iteration must be a non-negative integer"):
+        if iteration == -5:
+            message = "snapshot iteration must be a non-negative integer"
+        else:  # a wrong type is refused by the document parser, at the field's path
+            message = r"^snapshot\.iteration: expected int"
+        with pytest.raises(ValueError, match=message):
             restore_state(doc)
 
     @pytest.mark.parametrize(
@@ -999,10 +1053,98 @@ class TestSnapshots:
                 doc["centers"][1][0] = pair
             else:
                 doc["coefficients"][1] = pair
-        with pytest.raises(ValueError, match=rf"^snapshot {re.escape(where)}: expected a \[real, imag\] pair"):
+        with pytest.raises(ValueError, match=rf"^snapshot\.{re.escape(where)}: expected a \[real, imag\] pair"):
             restore_state(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "x", None], ids=["list", "string", "null"])
+    def test_non_object_snapshot_rejected(self, doc):
+        """A document that is not a JSON object is refused at the document's path."""
+        with pytest.raises(ValueError, match=r"^snapshot: must be an object$"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize(
+        "algorithm, path",
+        [
+            ("cklms", "mu"),
+            ("cklms", "iteration"),
+            ("cklms", "centers"),
+            ("cklms", "coefficients"),
+            ("cklms", "kernel.family"),
+            ("nclms", "w"),
+            ("wl_nclms", "epsilon"),
+        ],
+    )
+    def test_missing_field_rejected(self, algorithm, path):
+        """A missing required field is refused with its dotted path, not a bare KeyError."""
+        doc = fresh_snapshot(algorithm)
+        *parents, name = path.split(".")
+        section = doc
+        for parent in parents:
+            section = section[parent]
+        del section[name]
+        with pytest.raises(ValueError, match=rf"^snapshot\.{re.escape(path)}: missing required field$"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize("algorithm", ["cklms", "nclms", "wl_nclms"])
+    def test_unknown_field_rejected(self, algorithm):
+        """A key that is not a snapshot field is refused, not ignored."""
+        doc = fresh_snapshot(algorithm)
+        doc["dictionary"] = []
+        with pytest.raises(ValueError, match=r"^snapshot\.dictionary: unknown field$"):
+            restore_state(doc)
+
+    def test_fields_with_defaults_may_be_omitted(self):
+        """As in configs, an omitted field takes its default: novelty 0/0, sigma 1.0, g null."""
+        doc = {
+            "algorithm": "cklms",
+            "kernel": {"family": "linear"},
+            "mu": 0.5,
+            "iteration": 0,
+            "centers": [],
+            "coefficients": [],
+        }
+        state = restore_state(doc)
+        assert state.kernel == KernelSpec("linear", 1.0) and state.novelty == NoveltyConfig(0.0, 0.0)
+        state = restore_state({"algorithm": "nclms", "epsilon": 0.0, "w": [[1.0, 0.0]]})
+        assert state.g is None and state.w.tolist() == [1 + 0j]
 
     def test_unknown_snapshot_rejected(self):
         """Restoring an unrecognized document is a usage error."""
         with pytest.raises(ValueError):
             restore_state({"algorithm": "rls"})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        algorithm=st.sampled_from(["complex-gaussian", "real-gaussian", "linear", "nclms", "wl_nclms"]),
+        dim=st.integers(1, 4),
+        steps=st.integers(0, 30),
+        mu=st.floats(0.01, 1.0),
+        sigma=st.floats(1.0, 5.0),
+        delta1=st.floats(0.0, 0.5),
+        delta2=st.floats(0.0, 0.5),
+        epsilon=st.sampled_from([0.0, 1e-6, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_snapshot_json_restore_round_trip(
+        self, algorithm, dim, steps, mu, sigma, delta1, delta2, epsilon, seed
+    ):
+        """snapshot -> JSON text -> restore gives an equal snapshot and the same next 5 steps."""
+        samples = random_samples(np.random.default_rng(seed), steps + 5, dim)
+        if algorithm in ("nclms", "wl_nclms"):
+            state = new_linear_state(dim, widely_linear=algorithm == "wl_nclms", epsilon=epsilon)
+            step = partial(nclms_step if algorithm == "nclms" else wl_nclms_step, mu=mu)
+        else:
+            if algorithm == "real-gaussian":  # the real kernel takes real inputs only
+                samples = [(z.real.astype(complex), d) for z, d in samples]
+            spec = KernelSpec(algorithm, sigma)
+            state = new_cklms_state(spec, mu, NoveltyConfig(delta1, delta2))
+            step = cklms_step
+        for z, d in samples[:steps]:
+            state, _ = step(state, z, d)
+        snapshot = snapshot_state(state)
+        restored = restore_state(json.loads(json.dumps(snapshot)))
+        assert snapshot_state(restored) == snapshot
+        for z, d in samples[steps:]:
+            state, expected = step(state, z, d)
+            restored, record = step(restored, z, d)
+            assert record == expected
