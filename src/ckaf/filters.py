@@ -73,6 +73,8 @@ from ckaf.kernels import KernelSpec, kernel_vector, self_kernel
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
 
 _INITIAL_CAPACITY = 64
+# the capacity from which the centers are stored column by column (see ``Dictionary``)
+_COLUMN_CAPACITY = 4096
 
 
 class StepRecord(NamedTuple):
@@ -131,6 +133,14 @@ class Dictionary:
     ``centers``, ``coefficients``, ``self_kernels`` and ``squares`` properties
     read it. With the cached squares ``kernel_vector`` evaluates the kernel
     against every center with one matrix-vector product.
+
+    The centers are stored row by row while the capacity is below 4096, and
+    column by column from the doubling to 4096 on, which the admission of
+    center 2049 triggers: the kernel row is cheaper per center on contiguous
+    columns at a few thousand centers, about even at one to two thousand and
+    dearer at a few hundred. In both layouts ``centers`` is a read-only
+    (size, dim) view; past 2048 centers each of its columns is one
+    contiguous run.
     """
 
     def __init__(self):
@@ -177,7 +187,10 @@ class Dictionary:
         elif center.shape[0] != width:
             raise ValueError(f"center has {center.shape[0]} components, dictionary stores {width}")
         elif n == len(self._buffers[1]):
-            self._keep(tuple(np.concatenate([b, np.empty_like(b)]) for b in self._buffers))
+            grown = _new_buffers(2 * n, width)
+            for new, old in zip(grown, self._buffers):
+                new[:n] = old
+            self._keep(grown)
         centers, coefficients, self_kernels, squares = self._buffers
         stored = centers[n]
         stored[:] = center
@@ -191,9 +204,18 @@ class Dictionary:
 
 
 def _new_buffers(capacity: int, dim: int) -> tuple:
-    """Uninitialized (centers, coefficients, self_kernels, squares) buffers."""
+    """Uninitialized (centers, coefficients, self_kernels, squares) buffers.
+
+    The centers buffer is (capacity, dim) in both layouts: row-major below
+    ``_COLUMN_CAPACITY``, and from it on the transpose of a row-major
+    (dim, capacity) array, so each center component is a contiguous run.
+    """
+    if capacity < _COLUMN_CAPACITY:
+        centers = np.empty((capacity, dim), dtype=np.complex128)
+    else:
+        centers = np.empty((dim, capacity), dtype=np.complex128).T
     return (
-        np.empty((capacity, dim), dtype=np.complex128),
+        centers,
         np.empty(capacity, dtype=np.complex128),
         np.empty(capacity, dtype=np.float64),
         np.empty(capacity, dtype=np.complex128),
@@ -658,8 +680,10 @@ def restore_state(doc):
     The document is parsed by ``ckaf.documents.parse`` at path ``snapshot``,
     so a missing, unknown or mistyped field raises a ValueError naming its
     dotted path. States that no run of the filter could reach are refused
-    too: unequal center and coefficient counts, a negative iteration, and
-    non-finite centers, coefficients or weights.
+    too: unequal center and coefficient counts, a negative iteration,
+    non-finite centers, coefficients or weights, centers of unequal widths and,
+    for the real kernel, centers with nonzero imaginary parts. The last two
+    name the center's path, as in ``snapshot.centers[1]: ...``.
     """
     # a document that is not an object is refused by parse
     algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
@@ -683,7 +707,10 @@ def restore_state(doc):
                 raise ValueError(f"snapshot center {k} has non-finite components")
             if not cmath.isfinite(coefficient):
                 raise ValueError(f"snapshot coefficient {k} is not finite")
-            state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
+            try:  # a center of another width, or a complex center for the real kernel
+                state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
+            except ValueError as exc:
+                raise ValueError(f"snapshot.centers[{k}]: {exc}") from exc
         return state
     widely_linear = snap.g is not None
     if widely_linear != (algorithm == "wl_nclms"):

@@ -96,8 +96,12 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
     The row multiplies the product by ``-2.0`` and calls ``np.divide`` by ``-sigma**2``,
     the distance is one three-term expression, and ``np.sqrt``/``np.abs`` act on numpy
     scalars. ``cklms_step`` folds the ``-2`` into the product, multiplies by the
-    reciprocal and works on Python scalars; the two must round identically. Returns
-    ``(prediction, error, admitted, size)`` per sample.
+    reciprocal and works on Python scalars; the two must round identically. Up to 2048
+    centers the product is ``einsum`` and the kernel the complex ``exp``; from 2049 on,
+    where the dictionary stores its centers column by column, the product adds the
+    scaled columns one after another and the kernel is ``exp(x) * (cos(y) + i sin(y))``
+    for the conjugated exponent ``x + iy``, unless some ``x`` reaches 700 or some ``y``
+    is not finite. Returns ``(prediction, error, admitted, size)`` per sample.
     """
     centers, coefficients, self_kernels, squares = [], [], [], []
     trace = []
@@ -111,13 +115,26 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
             admitted = True
         else:
             w = np.conj(zv)
-            g = np.einsum("ij,j->i", np.array(centers), w)
+            split = len(centers) > 2048
+            if split:
+                columns = np.array(centers).T
+                g = columns[0] * w[0]
+                for column, wi in zip(columns[1:], w[1:]):
+                    g = g + column * wi
+            else:
+                g = np.einsum("ij,j->i", np.array(centers), w)
             g *= -2.0
             g += np.add.reduce(w * w)
             g += np.array(squares)
             np.divide(g, -spec.sigma**2, out=g)
-            np.exp(g, out=g)
-            kvec = np.conjugate(g, out=g)
+            x, y = g.real.copy(), -g.imag
+            if split and np.max(x) < 700.0 and np.isfinite(np.sum(y)):
+                kvec = np.empty_like(g)
+                kvec.real = np.exp(x) * np.cos(y)
+                kvec.imag = np.exp(x) * np.sin(y)
+            else:
+                np.exp(g, out=g)
+                kvec = np.conjugate(g, out=g)
             prediction = np.dot(np.array(coefficients), kvec)
             error = dv - prediction
             distance_sq = kzz + np.array(self_kernels) - 2.0 * kvec.real
@@ -213,17 +230,25 @@ class TestKernelRow:
     @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
     @settings(max_examples=20, deadline=None)
     @given(
-        # sizes on both sides of the buffer doublings at 64 and 128 centers
-        m=st.sampled_from([1, 63, 64, 65, 128, 129]),
+        # sizes on both sides of the buffer doublings at 64, 128, 1024 and 2048 centers;
+        # the one at 2048 moves the centers to column-major storage
+        m=st.sampled_from([1, 63, 64, 65, 128, 129, 1024, 1025, 2048, 2049]),
         dim=st.integers(1, 6),
         sigma=st.floats(1.0, 5.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(m=1024, dim=6, sigma=1.0, seed=1)
+    @example(m=1025, dim=6, sigma=1.0, seed=2)
+    @example(m=2048, dim=5, sigma=2.5, seed=3)
+    @example(m=2049, dim=1, sigma=5.0, seed=4)
     def test_cached_squares_match_difference_form_and_survive_snapshot(
         self, family, m, dim, sigma, seed
     ):
-        """The row over the dictionary's cached squares is kernel_matrix's row to 1e-13,
-        and a restored snapshot gives it bit for bit."""
+        """The row over the dictionary's cached squares is kernel_matrix's row to 1e-13
+        relative, in both center layouts, and a restored snapshot gives it bit for bit.
+
+        The worst seen over 600 such rows at 1024 to 2049 centers was 3.6e-15: the
+        expanded form cancels at sigma = 1, and both layouts round alike there."""
         spec = KernelSpec(family, sigma)
         rng = np.random.default_rng(seed)
         # components in [-1, 1] with dim <= 6 and sigma >= 1 keep every value finite
@@ -246,6 +271,36 @@ class TestKernelRow:
         assert np.all(np.abs(row - expected) <= 1e-13 * scale)
         restored = restore_state(json.loads(json.dumps(snapshot_state(state)))).dictionary
         assert kernel_vector(z, restored.centers, spec, restored.squares).tobytes() == row.tobytes()
+
+
+    @pytest.mark.parametrize("sigma", [0.1, 1e-155], ids=["real-part-overflows", "scale-is-inf"])
+    def test_overflowing_exponent_takes_the_complex_exp(self, sigma):
+        """On column-major centers a row whose exponent's real part overflows is the
+        complex exp of the same exponent entry by entry, inf and NaN in the same places.
+
+        At sigma = 0.1 the first center's exponent is real and about 1300, so its kernel
+        value is inf + 0j where the split exp(x) * sin(y) would give inf * 0 = NaN. At
+        sigma = 1e-155 the factor -1 / sigma**2 is -inf and the complex exp gives NaN
+        imaginary parts."""
+        z = np.array([0.5 + 3j, -0.25 + 2j])  # large imaginary parts for a small sigma
+        centers = np.array([[0.5, -0.25], [1.0, 0.5], [-0.75, 0.25], [5.0, -4.0]], dtype=complex)
+        columns = np.asfortranarray(centers)
+        spec = complex_gaussian(sigma)
+        squares = np.add.reduce(centers * centers, axis=1)
+        w = np.conj(z)
+        # the exponent in the row's own order: the scaled columns one after another
+        product = columns[:, 0] * (-2.0 * w[0]) + columns[:, 1] * (-2.0 * w[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = (product + np.add.reduce(w * w) + squares) * (-1.0 / spec.sigma**2)
+            row = kernel_vector(z, columns, spec, squares)
+            expected = np.conj(np.exp(exponent))
+        assert not np.max(exponent.real) < 700.0
+        assert expected[0].real == math.inf
+        assert expected[0].imag == 0.0 if sigma == 0.1 else math.isnan(expected[0].imag)
+        assert np.array_equal(np.isnan(row), np.isnan(expected))
+        assert np.array_equal(np.isinf(row.real), np.isinf(expected.real))
+        assert np.array_equal(np.isinf(row.imag), np.isinf(expected.imag))
+        assert row.tobytes() == expected.tobytes()
 
 
 class TestDictionaryViews:
@@ -303,6 +358,38 @@ class TestDictionaryViews:
         dictionary.append(points[size], 2j, 2.0)  # a matching center still goes in
         assert dictionary.size == size + 1
         assert np.array_equal(dictionary.centers, points)
+
+    def test_views_across_the_switch_to_column_major_centers(self):
+        """Center 2049 moves the centers into column-major storage. The views stay
+        read-only (size, dim) views of the stored values, views taken before keep theirs,
+        each center component is one contiguous run from then on, and a restored
+        dictionary has the same layout and views equal as raw bytes."""
+        rng = np.random.default_rng(99)
+        points = rng.standard_normal((2049, 3)) + 1j * rng.standard_normal((2049, 3))
+        spec = complex_gaussian(2.0)
+        state = new_cklms_state(spec, mu=0.5)
+        dictionary = state.dictionary
+        taken = {}
+        for k, c in enumerate(points):
+            dictionary.append(c, complex(k, -k), self_kernel(c, spec))
+            if k + 1 in (1024, 1025, 2048, 2049):
+                taken[k + 1] = dictionary.views
+        for size, views in taken.items():
+            centers = views[0]
+            assert centers.shape == (size, 3)
+            assert np.array_equal(centers, points[:size])
+            assert np.array_equal(views[1], np.arange(size) * (1 - 1j))
+            assert np.array_equal(views[3], np.add.reduce(points[:size] * points[:size], axis=1))
+            for view in views:
+                with pytest.raises(ValueError):
+                    view[0] = 0.0
+            column_major = size > 2048
+            assert all(component.flags.c_contiguous for component in centers.T) == column_major
+        restored = restore_state(json.loads(json.dumps(snapshot_state(state)))).dictionary
+        assert restored.centers.strides == dictionary.centers.strides
+        for name in self.VIEWS:
+            original = getattr(dictionary, name)
+            assert getattr(restored, name).tobytes() == original.tobytes()
 
     def test_restored_dictionary_has_equal_views(self):
         """A dictionary rebuilt from a snapshot exposes the same four views."""
@@ -438,18 +525,20 @@ class TestCklmsStep:
         imag_scale=st.floats(0.0, 1.5),
         delta1=st.sampled_from([0.0, 0.01, 0.1]),
         delta2=st.sampled_from([0.0, 0.01, 0.1]),
+        n=st.just(150),
     )
     # thresholds 0 admit all 150 samples, across the buffer doublings at 64 and 128 centers
-    @example(seed=7, dim=5, sigma=5.0, mu=1.0, imag_scale=1.0, delta1=0.0, delta2=0.0)
+    @example(seed=7, dim=5, sigma=5.0, mu=1.0, imag_scale=1.0, delta1=0.0, delta2=0.0, n=150)
     # diverges: errors grow past 1e308 in modulus, then to inf and NaN
-    @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0)
+    @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0, n=150)
+    # thresholds 0 admit all 2100 samples, across the switch to column-major centers at 2049
+    @example(seed=11, dim=6, sigma=5.0, mu=0.5, imag_scale=0.5, delta1=0.0, delta2=0.0, n=2100)
     def test_step_bits_match_numpy_scalar_step(
-        self, seed, dim, sigma, mu, imag_scale, delta1, delta2
+        self, seed, dim, sigma, mu, imag_scale, delta1, delta2, n
     ):
         """Predictions and errors equal the numpy-scalar step's as raw bytes, diverged runs
         included, and admissions and dictionary sizes are equal."""
         rng = np.random.default_rng(seed)
-        n = 150
         z = rng.standard_normal((n, dim)) + 1j * imag_scale * rng.standard_normal((n, dim))
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         samples = list(zip(z, d))
@@ -466,6 +555,8 @@ class TestCklmsStep:
         assert [r.dict_size for r in records] == [e[3] for e in expected]
         if delta1 == delta2 == 0.0:  # every finite error is admitted
             assert state.dictionary.size == sum(cmath.isfinite(r.error) for r in records)
+        if n > 2048:
+            assert state.dictionary.size > 2048, "the run must reach column-major centers"
 
     def test_error_modulus_beyond_float_range(self):
         """A finite error whose modulus exceeds the float range compares as |e| = inf."""
@@ -976,6 +1067,26 @@ class TestSnapshots:
             doc["centers"][1][0] = [0.5, value]
             with pytest.raises(ValueError, match="snapshot center 1 has non-finite components"):
                 restore_state(doc)
+
+    def test_center_of_another_width_names_its_path(self):
+        """A center narrower than the first is refused at its path in the document."""
+        doc = snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
+        doc["centers"] = [[[1.0, 0.0], [0.5, 0.5]], [[0.2, -0.1]]]
+        doc["coefficients"] = [[1.0, 0.0], [0.5, 0.0]]
+        message = r"^snapshot\.centers\[1\]: center has 1 components, dictionary stores 2$"
+        with pytest.raises(ValueError, match=message):
+            restore_state(doc)
+
+    def test_complex_center_for_real_kernel_names_its_path(self):
+        """A real-gaussian snapshot refuses a center with an imaginary part at its path."""
+        doc = snapshot_state(new_cklms_state(KernelSpec("real-gaussian", 1.0), mu=0.5))
+        doc["centers"] = [[[1.0, 0.5]]]
+        doc["coefficients"] = [[1.0, 0.0]]
+        message = (
+            r"^snapshot\.centers\[0\]: z must have zero imaginary parts for the real kernel$"
+        )
+        with pytest.raises(ValueError, match=message):
+            restore_state(doc)
 
     def test_non_finite_coefficient_rejected(self):
         """A NaN or infinite coefficient would make every later prediction non-finite."""
