@@ -10,7 +10,9 @@ alternating chunks and each cell is the median over chunks of the mean step
 time in a chunk, so a drift in the host's speed reaches both columns alike.
 
 The row-major step is the einsum product plus the complex ``exp``; the
-column-major step is the column passes plus the split ``exp``. A dictionary
+column-major step is the column passes plus the ``exp`` in the half-angle
+tangent form, a SIMD real ``exp`` and one SIMD ``tan`` per center in place
+of numpy's complex ``exp`` (see ``ckaf.kernels._split_conj_exp``). A dictionary
 switches from the first to the second when it admits center 2049; the last
 column says which one it uses at ``m``. ``OPENBLAS_NUM_THREADS`` (and the
 OpenMP and MKL counts) are set to 1 in this process before numpy is imported,

@@ -24,11 +24,13 @@ where the difference form builds and reduces an (m, nu) array every step.
 The row follows the layout of the centers. A dictionary stores them row by
 row up to 2048 centers, and the row then takes an ``einsum`` product and
 the complex ``exp``. From center 2049 on the dictionary stores them column
-by column, and the row then sums the ``nu`` scaled columns and splits the
-complex Gaussian's ``exp`` into a real ``exp`` times ``cos`` and ``sin``.
-The column form is cheaper per center at a few thousand centers, about
-even at one to two thousand and dearer at a few hundred; the two forms
-agree to rounding.
+by column, and the row then sums the ``nu`` scaled columns and writes the
+complex Gaussian's ``exp`` in the half-angle tangent form: a real ``exp``
+of the exponent's real part and one ``tan`` of half its imaginary part,
+both of which numpy runs in SIMD, where the complex ``exp`` (like ``cos``
+and ``sin``) calls scalar libm per element. The column form is cheaper per
+center at a few thousand centers and dearer at a few hundred; the two
+forms agree to rounding.
 ``kernel_matrix`` and its views keep the difference form because the
 expanded form rounds differently: exact identities such as
 ``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
@@ -178,8 +180,8 @@ def _factored_row(
 
     ``z`` is a validated (nu,) complex vector, ``centers`` an (m, nu) complex
     array and ``squares[k] == sum_i centers[k, i]**2``. One matrix-vector
-    product ``g = centers @ conj(z)`` (``_product``) serves every family. With
-    ``w = conj(z)``, ``conj(kappa) = exp(-(w.w - 2 g + squares) / sigma**2)`` for
+    product ``g = centers @ conj(z)`` serves every family. With ``w =
+    conj(z)``, ``conj(kappa) = exp(-(w.w - 2 g + squares) / sigma**2)`` for
     the complex Gaussian, ``kappa = exp(-(x.x - 2 Re g + Re squares) / sigma**2)``
     for the real Gaussian on ``x = Re z``, and ``kappa = conj(g)`` for the linear
     kernel. The result agrees with ``kernel_matrix(z[None], centers, spec)[0]``
@@ -193,22 +195,27 @@ def _factored_row(
     the two differ at most in the sign of an exactly zero real or imaginary
     part, never in a value.
 
-    The arithmetic follows the layout of ``centers``. Row-major centers (a
-    dictionary's up to 2048 centers) get the ``einsum`` product and the
-    complex ``exp``, the cheapest pair at a few hundred centers. Column-major
-    centers (a dictionary's from center 2049 on) get ``nu`` passes over
-    contiguous columns and, for the complex Gaussian, the split ``exp`` of
-    ``_split_conj_exp``, a pair that is cheaper per center at a few thousand.
-    With ``sigma = 5`` the two forms of a row differ by at most 1e-15 relative per
-    kernel value (measured: 4.9e-16 on unit-variance inputs, 9.1e-16 on the
-    bundled experiment's data, at 1025 to 5000 centers).
+    The arithmetic follows the layout of ``centers``, which is tested once.
+    Row-major centers (a dictionary's up to 2048 centers) get the ``einsum``
+    product and the complex ``exp``, the cheapest pair at a few hundred
+    centers. The product is not ``centers @ v``: matmul is a BLAS GEMV, which
+    OpenBLAS spreads over all cores from about a thousand centers on when its
+    thread count is not pinned, nearly doubling the CPU time of a step
+    without shortening it. Column-major centers (a dictionary's from center
+    2049 on) get ``_column_product`` and, for the complex Gaussian, the
+    tangent form of ``_split_conj_exp``, a pair that is cheaper per center at
+    a few thousand. With ``sigma = 5`` the two forms of a row differ by at
+    most 1e-15 relative per kernel value (measured: 6.6e-16 on unit-variance
+    inputs, 9.5e-16 on the bundled experiment's data, at 1025 to 5000 centers).
     """
     w = np.conj(z)
-    columns = centers.strides[0] < centers.strides[1]
+    row_stride, column_stride = centers.strides  # one tuple read, cheaper than two
+    columns = row_stride < column_stride
     if spec.family == COMPLEX_GAUSSIAN:
         # the (m,) product is the only (m,) array: the exponent and its exp are computed in
         # place in it
-        row = _product(centers, -2.0 * w, columns)
+        v = -2.0 * w
+        row = _column_product(centers, v) if columns else np.einsum("ij,j->i", centers, v)
         row += np.add.reduce(w * w)
         row += squares
         scale = -1.0 / spec.sigma**2
@@ -217,25 +224,19 @@ def _factored_row(
         row *= scale
         np.exp(row, out=row)
         return np.conjugate(row, out=row)
-    g = _product(centers, w, columns)
+    g = _column_product(centers, w) if columns else np.einsum("ij,j->i", centers, w)
     if spec.family == LINEAR:
         return np.conjugate(g, out=g)
     x = z.real
     return np.exp((x @ x - 2.0 * g.real + squares.real) / -spec.sigma**2)
 
 
-def _product(centers: np.ndarray, v: np.ndarray, columns: bool) -> np.ndarray:
-    """``centers @ v`` as a fresh (m,) array, computed on the calling thread.
+def _column_product(centers: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``centers @ v`` for column-major centers, as a fresh (m,) array.
 
-    Row-major centers go through ``einsum``. Not ``centers @ v``: matmul is a
-    BLAS GEMV, which OpenBLAS spreads over all cores from about a thousand
-    centers on when its thread count is not pinned, nearly doubling the CPU
-    time of a step without shortening it. Column-major centers (``columns``)
-    are summed as ``nu`` scaled columns, one in-place pass each, which streams
+    The ``nu`` scaled columns are summed one in-place pass each, which streams
     contiguous memory where ``einsum`` strides across the columns.
     """
-    if not columns:
-        return np.einsum("ij,j->i", centers, v)
     first, *rest = centers.T
     out = first * v[0]
     scaled = np.empty_like(out)
@@ -246,23 +247,35 @@ def _product(centers: np.ndarray, v: np.ndarray, columns: bool) -> np.ndarray:
 
 
 def _split_conj_exp(row: np.ndarray, scale: float) -> bool:
-    """Write ``conj(exp(scale * row))`` into ``row`` as ``exp(x) * (cos(y) + i sin(y))``.
+    """Write ``conj(exp(scale * row))`` into ``row`` in the half-angle tangent form.
 
-    ``x`` is the real part of the exponent and ``y`` its negated imaginary part;
-    numpy's real ``exp`` runs in SIMD and the complex one does not. The split
-    agrees with the complex ``exp`` to rounding wherever ``x < 700`` and ``y``
-    is finite. For a row with any other exponent (an overflowing real part,
-    NaN, an infinite imaginary part) it returns False and leaves ``row`` as it
-    was, so the caller's complex ``exp`` gives the inf and NaN entries and
-    ``inf * 0`` never turns into NaN.
+    With ``x`` the real part of the exponent, ``y`` its negated imaginary part
+    and ``t = tan(y / 2)``, the value ``exp(x) * (cos(y) + i sin(y))`` is
+    ``r (1 - t**2) + 2i r t`` with ``r = exp(x) / (1 + t**2)``. numpy runs the
+    real ``exp`` and ``tan`` in SIMD; its complex ``exp``, ``cos`` and ``sin``
+    call scalar libm per element at several times the cost. ``t`` is finite
+    for every finite ``y``: no double lies close enough to an odd multiple of
+    pi for ``tan`` to overflow, and ``t**2`` stays below 1e40. The form agrees
+    with the complex ``exp`` to rounding, relative to the kernel value's
+    modulus, wherever ``x < 700``, ``y`` is finite and ``r`` is not subnormal
+    (a modulus ``exp(x)`` above about 1e-270).
+
+    For a row with any other exponent (an overflowing real part, NaN, an
+    infinite imaginary part) it returns False and leaves ``row`` as it was, so
+    the caller's complex ``exp`` gives the inf and NaN entries and ``inf * 0``
+    never turns into NaN.
     """
     x = np.multiply(row.real, scale)
     y = np.multiply(row.imag, -scale)
     if not (np.maximum.reduce(x, initial=-math.inf) < 700.0 and math.isfinite(np.add.reduce(y))):
         return False
     np.exp(x, out=x)
-    np.multiply(x, np.cos(y), out=row.real)
-    np.multiply(x, np.sin(y, out=y), out=row.imag)
+    t = np.tan(np.multiply(y, 0.5, out=y), out=y)
+    t_sq = np.multiply(t, t)
+    r = np.divide(x, t_sq + 1.0, out=x)
+    np.multiply(r, np.subtract(1.0, t_sq, out=t_sq), out=row.real)
+    rt = np.multiply(r, t, out=t)
+    np.add(rt, rt, out=row.imag)
     return True
 
 

@@ -208,6 +208,33 @@ class TestKernelVector:
                 [1j, 0], np.zeros((3, 2), dtype=complex), complex_gaussian(1.0), np.zeros(2)
             )
 
+    def test_numpy_tan_is_within_two_ulp_of_libm(self):
+        """The column-major row's accuracy rests on numpy's SIMD ``tan``, so it is held
+        to 2 ULP of ``math.tan`` for |y| from 1e-8 to 1e300 and next to odd multiples
+        of pi/2, where ``tan`` reaches 1e16. A numpy build whose ``tan`` is coarser
+        fails here before it moves a kernel row."""
+        magnitudes = np.logspace(-8, 300, 3081)
+        near = []
+        for k in (0, 1, 2, 3, 10, 1000, 10**6, 10**9):
+            pole = (2 * k + 1) * math.pi / 2
+            below = above = pole
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                near += [below, above]
+            near += [pole] + [pole + d for d in (1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9)]
+        y = np.concatenate([magnitudes, near])
+        y = np.concatenate([y, -y])
+        got = np.tan(y)
+        expected = np.array([math.tan(v) for v in y])
+
+        def ordinal(a):
+            # doubles mapped to integers in their order, so ULP distance is a difference
+            bits = a.view(np.int64)
+            return np.where(bits < 0, np.int64(-(2**63)) - bits, bits)
+
+        assert np.max(np.abs(expected)) > 1e15
+        assert np.max(np.abs(ordinal(got) - ordinal(expected))) <= 2
+
 
 class TestKernelMatrix:
     @pytest.mark.parametrize("m", [0, 1, 5])
