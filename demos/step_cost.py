@@ -1,7 +1,7 @@
 """Per-step cost of the kernel LMS filter in both dictionary layouts.
 
-Run with ``python3 demos/step_cost.py`` after installing the package (about a
-minute at the default sizes). For each dictionary size ``m`` the script fills
+Run with ``python3 demos/step_cost.py`` after installing the package (a few
+seconds at the default sizes). For each dictionary size ``m`` the script fills
 two dictionaries with the same ``m`` centers of dimension 6, one stored row by
 row and one column by column, and times ``cklms_step`` against each. The
 novelty threshold is set so high that no step admits, so every timed step
@@ -13,7 +13,7 @@ The row-major step is the einsum product plus the complex ``exp``; the
 column-major step is the column passes plus the ``exp`` in the half-angle
 tangent form, a SIMD real ``exp`` and one SIMD ``tan`` per center in place
 of numpy's complex ``exp`` (see ``ckaf.kernels._split_conj_exp``). A dictionary
-switches from the first to the second when it admits center 2049; the last
+switches from the first to the second when it admits center 1025; the last
 column says which one it uses at ``m``. ``OPENBLAS_NUM_THREADS`` (and the
 OpenMP and MKL counts) are set to 1 in this process before numpy is imported,
 so no BLAS thread runs beside the step.
@@ -64,7 +64,7 @@ def chunk_us(state, queries, targets) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 2500, 5000])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 1100, 1500, 2500, 5000])
     parser.add_argument("--chunks", type=int, default=15, help="chunks per layout and size")
     parser.add_argument("--steps", type=int, default=200, help="steps per chunk")
     args = parser.parse_args(argv)

@@ -41,7 +41,8 @@ gains ``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend
 only on the inputs, so ``run_block`` computes them once per realization. A
 zero input with ``eps = 0`` has no defined normalized step; its gain is 0
 and the weights stay as they are. cklms runs the rows of a block one after
-another through ``run_filter``.
+another, one ``cklms_step`` call per sample, and writes each row's
+predictions and dictionary sizes straight into the block's arrays.
 
 Novelty criterion
 -----------------
@@ -68,13 +69,13 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ckaf.documents import echo, parse
-from ckaf.kernels import KernelSpec, kernel_vector, self_kernel
+from ckaf.kernels import _COMPLEX, KernelSpec, kernel_vector, self_kernel
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
 
 _INITIAL_CAPACITY = 64
 # the capacity from which the centers are stored column by column (see ``Dictionary``)
-_COLUMN_CAPACITY = 4096
+_COLUMN_CAPACITY = 2048
 
 
 class StepRecord(NamedTuple):
@@ -134,13 +135,12 @@ class Dictionary:
     read it. With the cached squares ``kernel_vector`` evaluates the kernel
     against every center with one matrix-vector product.
 
-    The centers are stored row by row while the capacity is below 4096, and
-    column by column from the doubling to 4096 on, which the admission of
-    center 2049 triggers: the kernel row is cheaper per center on contiguous
-    columns at a few thousand centers, about even at one to two thousand and
-    dearer at a few hundred. In both layouts ``centers`` is a read-only
-    (size, dim) view; past 2048 centers each of its columns is one
-    contiguous run.
+    The centers are stored row by row while the capacity is below 2048, and
+    column by column from the doubling to 2048 on, which the admission of
+    center 1025 triggers: the kernel row is cheaper per center on contiguous
+    columns from about a thousand centers on and dearer at a few hundred. In
+    both layouts ``centers`` is a read-only (size, dim) view; past 1024
+    centers each of its columns is one contiguous run.
     """
 
     def __init__(self):
@@ -207,8 +207,9 @@ def _new_buffers(capacity: int, dim: int) -> tuple:
     """Uninitialized (centers, coefficients, self_kernels, squares) buffers.
 
     The centers buffer is (capacity, dim) in both layouts: row-major below
-    ``_COLUMN_CAPACITY``, and from it on the transpose of a row-major
-    (dim, capacity) array, so each center component is a contiguous run.
+    ``_COLUMN_CAPACITY`` (2048, which the admission of center 1025 reaches),
+    and from it on the transpose of a row-major (dim, capacity) array, so
+    each center component is a contiguous run.
     """
     if capacity < _COLUMN_CAPACITY:
         centers = np.empty((capacity, dim), dtype=np.complex128)
@@ -290,10 +291,10 @@ def new_linear_state(dim: int, widely_linear: bool = False, epsilon: float = 1e-
 
 
 def _as_sample_vector(z) -> np.ndarray:
-    zv = np.asarray(z, dtype=np.complex128)
+    zv = np.asarray(z, _COMPLEX)
     if zv.ndim != 1 or zv.size == 0:
         raise ValueError("input must be a 1-D vector with at least one component")
-    if not np.isfinite(zv).all():
+    if not np.logical_and.reduce(np.isfinite(zv)):  # .all() without its Python-level dispatch
         raise ArithmeticError("input vector has non-finite components")
     return zv
 
@@ -333,7 +334,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
     kzz = self_kernel(zv, state.kernel)
     # scalars are Python complex and float from here on: the same IEEE operations as on
     # numpy scalars, without numpy's per-operation dispatch
-    if dictionary.size == 0:
+    if dictionary._size == 0:
         prediction = 0j
         error = dv
         admitted = True
@@ -344,7 +345,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         error = dv - prediction
         distance_sq = kzz + self_kernels
         distance_sq -= 2.0 * kvec.real
-        dis = math.sqrt(max(float(distance_sq.min()), 0.0))
+        dis = math.sqrt(max(float(np.minimum.reduce(distance_sq)), 0.0))
         # novelty criterion; finiteness is tested explicitly because every
         # comparison with NaN is false and |nan + inf j| is inf
         admitted = bool(
@@ -356,7 +357,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         dictionary.append(zv, state.mu * error, kzz)  # append copies zv into its buffer
     state.iteration += 1
     squared_error = error.real * error.real + error.imag * error.imag
-    return state, StepRecord(prediction, error, squared_error, admitted, dictionary.size)
+    return state, StepRecord(prediction, error, squared_error, admitted, dictionary._size)
 
 
 def _modulus(e: complex) -> float:
@@ -572,8 +573,9 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
     step, not once per run, and each run's predictions, squared errors and
     final weights equal, bit for bit, those of a serial
     ``nclms_step``/``wl_nclms_step`` loop over its samples. cklms runs the
-    rows one after another through ``run_filter`` and keeps each row's
-    dictionary sizes, not its state, so a block never holds R dictionaries.
+    rows one after another, calling ``cklms_step`` once per sample, and keeps
+    each row's predictions and dictionary sizes, not its state or its step
+    records, so a block never holds R dictionaries.
 
     Raises FilterStepError, with ``run`` set to the row, at the first sample
     whose input or target is not finite, or at a failing cklms step.
@@ -594,14 +596,17 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
     if algorithm == "cklms":
         dict_sizes = np.empty((runs, n), dtype=np.int64)
         for r in range(runs):
-            try:
-                records = run_filter(zip(inputs[r], targets[r]), algorithm, config).records
-            except FilterStepError as exc:
-                exc.run = r
-                raise
-            predictions[r] = [record.prediction for record in records]
-            dict_sizes[r] = [record.dict_size for record in records]
-            del records  # one run's records at a time
+            state = new_cklms_state(config.kernel, config.mu, config.novelty)
+            run_predictions, run_sizes = [], []
+            for i, (z, d) in enumerate(zip(inputs[r], targets[r])):
+                try:
+                    state, record = cklms_step(state, z, d)
+                except Exception as exc:
+                    raise FilterStepError(i, str(exc), run=r) from exc
+                run_predictions.append(record.prediction)
+                run_sizes.append(record.dict_size)
+            predictions[r] = run_predictions
+            dict_sizes[r] = run_sizes
     else:
         widely_linear = algorithm == "wl_nclms"
         gains = np.empty((runs, n))

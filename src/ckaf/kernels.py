@@ -22,15 +22,15 @@ when a center is admitted, and then gets the row in the expanded form
 matrix-vector product over the stored centers plus one ``exp`` per center,
 where the difference form builds and reduces an (m, nu) array every step.
 The row follows the layout of the centers. A dictionary stores them row by
-row up to 2048 centers, and the row then takes an ``einsum`` product and
-the complex ``exp``. From center 2049 on the dictionary stores them column
+row up to 1024 centers, and the row then takes an ``einsum`` product and
+the complex ``exp``. From center 1025 on the dictionary stores them column
 by column, and the row then sums the ``nu`` scaled columns and writes the
 complex Gaussian's ``exp`` in the half-angle tangent form: a real ``exp``
 of the exponent's real part and one ``tan`` of half its imaginary part,
 both of which numpy runs in SIMD, where the complex ``exp`` (like ``cos``
 and ``sin``) calls scalar libm per element. The column form is cheaper per
-center at a few thousand centers and dearer at a few hundred; the two
-forms agree to rounding.
+center from about a thousand centers on and dearer at a few hundred; the
+two forms agree to rounding.
 ``kernel_matrix`` and its views keep the difference form because the
 expanded form rounds differently: exact identities such as
 ``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
@@ -66,6 +66,7 @@ REAL_GAUSSIAN = "real-gaussian"
 LINEAR = "linear"
 
 _FAMILIES = (COMPLEX_GAUSSIAN, REAL_GAUSSIAN, LINEAR)
+_COMPLEX = np.dtype(np.complex128)  # asarray with a dtype instance skips the type lookup
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def linear_kernel() -> KernelSpec:
 
 
 def _as_vector(z) -> np.ndarray:
-    v = np.asarray(z, dtype=np.complex128)
+    v = np.asarray(z, _COMPLEX)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a 1-D vector with at least one component")
     return v
@@ -196,17 +197,18 @@ def _factored_row(
     part, never in a value.
 
     The arithmetic follows the layout of ``centers``, which is tested once.
-    Row-major centers (a dictionary's up to 2048 centers) get the ``einsum``
+    Row-major centers (a dictionary's up to 1024 centers) get the ``einsum``
     product and the complex ``exp``, the cheapest pair at a few hundred
     centers. The product is not ``centers @ v``: matmul is a BLAS GEMV, which
     OpenBLAS spreads over all cores from about a thousand centers on when its
     thread count is not pinned, nearly doubling the CPU time of a step
     without shortening it. Column-major centers (a dictionary's from center
-    2049 on) get ``_column_product`` and, for the complex Gaussian, the
-    tangent form of ``_split_conj_exp``, a pair that is cheaper per center at
-    a few thousand. With ``sigma = 5`` the two forms of a row differ by at
-    most 1e-15 relative per kernel value (measured: 6.6e-16 on unit-variance
-    inputs, 9.5e-16 on the bundled experiment's data, at 1025 to 5000 centers).
+    1025 on) get ``_column_product`` and, for the complex Gaussian, the
+    tangent form of ``_split_conj_exp``, a pair that is cheaper per center
+    from about a thousand on. With ``sigma = 5`` the two forms of a row
+    differ by at most 1e-15 relative per kernel value (measured: 6.6e-16 on
+    unit-variance inputs, 9.5e-16 on the bundled experiment's data, at 1025
+    to 5000 centers).
     """
     w = np.conj(z)
     row_stride, column_stride = centers.strides  # one tuple read, cheaper than two
@@ -266,11 +268,13 @@ def _split_conj_exp(row: np.ndarray, scale: float) -> bool:
     never turns into NaN.
     """
     x = np.multiply(row.real, scale)
-    y = np.multiply(row.imag, -scale)
-    if not (np.maximum.reduce(x, initial=-math.inf) < 700.0 and math.isfinite(np.add.reduce(y))):
+    # the half angle y / 2 in one product: -0.5 * scale is exact, so this is (row.imag *
+    # -scale) * 0.5 bit for bit unless that half is subnormal
+    half_y = np.multiply(row.imag, -0.5 * scale)
+    if not (np.maximum.reduce(x, initial=-math.inf) < 700.0 and math.isfinite(np.add.reduce(half_y))):
         return False
     np.exp(x, out=x)
-    t = np.tan(np.multiply(y, 0.5, out=y), out=y)
+    t = np.tan(half_y, out=half_y)
     t_sq = np.multiply(t, t)
     r = np.divide(x, t_sq + 1.0, out=x)
     np.multiply(r, np.subtract(1.0, t_sq, out=t_sq), out=row.real)
@@ -358,7 +362,7 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
         ``kernel_matrix(z[None, :], centers, spec)``.
     """
     zv = _as_vector(z)
-    c = np.asarray(centers, dtype=np.complex128)
+    c = np.asarray(centers, _COMPLEX)
     if c.ndim != 2 or c.shape[1] != zv.shape[0]:
         raise ValueError(
             f"centers must have shape (m, {zv.shape[0]}), got {c.shape}"
@@ -369,11 +373,11 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
     if squares is None:
         row = kernel_matrix(zv[None], c, spec)[0]
     else:
-        sq = np.asarray(squares, dtype=np.complex128)
+        sq = np.asarray(squares, _COMPLEX)
         if sq.shape != c.shape[:1]:
             raise ValueError(f"squares must have shape ({c.shape[0]},), got {sq.shape}")
         row = _factored_row(zv, c, sq, spec)
-    return np.asarray(row, dtype=np.complex128)
+    return np.asarray(row, _COMPLEX)  # a no-op but for the real family's float rows
 
 
 def self_kernel(z, spec: KernelSpec) -> float:
@@ -386,7 +390,9 @@ def self_kernel(z, spec: KernelSpec) -> float:
     """
     zv = _as_vector(z)
     if spec.family == COMPLEX_GAUSSIAN:
-        return float(np.exp(4.0 * np.add.reduce(zv.imag**2) / spec.sigma**2))
+        q = zv.imag
+        # Python float arithmetic rounds as numpy's does; np.exp, not math.exp, keeps its bits
+        return float(np.exp(4.0 * float(np.add.reduce(q * q)) / spec.sigma**2))
     if spec.family == REAL_GAUSSIAN:
         _require_real(zv, "z")
         return 1.0

@@ -17,6 +17,7 @@ from ckaf.experiment import (
     AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
+    ExperimentResult,
     LearningCurve,
     config_from_dict,
     config_to_dict,
@@ -378,6 +379,46 @@ class TestEmitResults:
         assert set(doc["curves"]) == {"nclms", "cklms"}
         assert "final_dict_sizes" in doc["curves"]["cklms"]
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+
+    def test_renderings_equal_row_by_row_csv_and_json_dumps(self, tmp_path):
+        """Both files equal, byte for byte, the CSV written one value at a time from the
+        numpy curves and ``json.dumps`` of the document of Python floats and ints, with
+        non-finite values, a negative zero, the smallest subnormal and a non-ASCII label."""
+        doc = tiny_doc(mc_runs=3)
+        doc["algorithms"][1]["label"] = "cklms σ=2"
+        cfg = config_from_dict(doc)
+        odd = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0, 1e300, 0.1])
+        curves = {
+            "nclms": LearningCurve("nclms", mse=np.abs(odd[::-1])),
+            "cklms σ=2": LearningCurve(
+                "cklms σ=2",
+                mse=odd,
+                dict_size_curve=odd[::-1].copy(),
+                final_dict_sizes=np.array([5, 0, 4995], dtype=np.int64),
+            ),
+        }
+        metadata = {"mc_runs": 3, "curve_length": 8, "measured_snr_db": None, "wall_clock_seconds": 0.25}
+        result = ExperimentResult(config=cfg, curves=curves, metadata=metadata)
+
+        emit_results(result, "csv", tmp_path / "out.csv")
+        columns = [curve.mse_db for curve in curves.values()]
+        lines = ["iteration," + ",".join(f"{label}_mse_db" for label in curves)]
+        for i in range(len(odd)):
+            lines.append(f"{i + 1}," + ",".join("%.12e" % column[i] for column in columns))
+        assert (tmp_path / "out.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+        emit_results(result, "json", tmp_path / "out.json")
+        curves_doc = {}
+        for label, curve in curves.items():
+            entry = {"mse": [float(v) for v in curve.mse], "mse_db": [float(v) for v in curve.mse_db]}
+            if curve.dict_size_curve is not None:
+                entry["dict_size_curve"] = [float(v) for v in curve.dict_size_curve]
+                entry["final_dict_sizes"] = [int(v) for v in curve.final_dict_sizes]
+            curves_doc[label] = entry
+        expected = {"config": config_to_dict(cfg), "curves": curves_doc, "metadata": metadata}
+        text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "5e-324" in text
+        assert (tmp_path / "out.json").read_bytes() == text.encode()
 
     def test_unknown_format_rejected(self, result, tmp_path):
         """Only csv and json are valid emission formats."""

@@ -96,8 +96,8 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
     The row multiplies the product by ``-2.0`` and calls ``np.divide`` by ``-sigma**2``,
     the distance is one three-term expression, and ``np.sqrt``/``np.abs`` act on numpy
     scalars. ``cklms_step`` folds the ``-2`` into the product, multiplies by the
-    reciprocal and works on Python scalars; the two must round identically. Up to 2048
-    centers the product is ``einsum`` and the kernel the complex ``exp``; from 2049 on,
+    reciprocal and works on Python scalars; the two must round identically. Up to 1024
+    centers the product is ``einsum`` and the kernel the complex ``exp``; from 1025 on,
     where the dictionary stores its centers column by column, the product adds the
     scaled columns one after another and the kernel ``exp(x) * (cos(y) + i sin(y))`` for
     the conjugated exponent ``x + iy`` is written in the half-angle tangent form
@@ -117,7 +117,7 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
             admitted = True
         else:
             w = np.conj(zv)
-            split = len(centers) > 2048
+            split = len(centers) > 1024
             if split:
                 columns = np.array(centers).T
                 g = columns[0] * w[0]
@@ -235,7 +235,7 @@ class TestKernelRow:
     @settings(max_examples=20, deadline=None)
     @given(
         # sizes on both sides of the buffer doublings at 64, 128, 1024 and 2048 centers;
-        # the one at 2048 moves the centers to column-major storage
+        # the one at 1024 moves the centers to column-major storage
         m=st.sampled_from([1, 63, 64, 65, 128, 129, 1024, 1025, 2048, 2049]),
         dim=st.integers(1, 6),
         sigma=st.floats(1.0, 5.0),
@@ -423,7 +423,7 @@ class TestDictionaryViews:
         assert np.array_equal(dictionary.centers, points)
 
     def test_views_across_the_switch_to_column_major_centers(self):
-        """Center 2049 moves the centers into column-major storage. The views stay
+        """Center 1025 moves the centers into column-major storage. The views stay
         read-only (size, dim) views of the stored values, views taken before keep theirs,
         each center component is one contiguous run from then on, and a restored
         dictionary has the same layout and views equal as raw bytes."""
@@ -446,7 +446,7 @@ class TestDictionaryViews:
             for view in views:
                 with pytest.raises(ValueError):
                     view[0] = 0.0
-            column_major = size > 2048
+            column_major = size > 1024
             assert all(component.flags.c_contiguous for component in centers.T) == column_major
         restored = restore_state(json.loads(json.dumps(snapshot_state(state)))).dictionary
         assert restored.centers.strides == dictionary.centers.strides
@@ -564,6 +564,28 @@ class TestCklmsStep:
         with pytest.raises(ArithmeticError):
             cklms_step(state, [np.nan + 0j], 1 + 0j)
 
+    @pytest.mark.parametrize("size", [0, 1])
+    @pytest.mark.parametrize(
+        "z, d, error",
+        [
+            ([0.1 + 0j, np.nan], 1 + 0j, ArithmeticError),
+            ([0.1 + 0j, 0.2j], complex("nan"), ArithmeticError),
+            ([[0.1 + 0j, 0.2j]], 1 + 0j, ValueError),
+            ([], 1 + 0j, ValueError),
+            ([0.1 + 0j, 0.2j], [1 + 0j, 2 + 0j], TypeError),
+        ],
+        ids=["nan-input", "nan-target", "2-D-input", "empty-input", "two-element-target"],
+    )
+    def test_malformed_sample_refused_and_state_kept(self, size, z, d, error):
+        """A malformed input or target raises before the step changes anything, with an
+        empty or a non-empty dictionary."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=1.0)
+        for _ in range(size):
+            state, _ = cklms_step(state, [0.3 + 0j, -0.1j], 0.5 + 0j)
+        with pytest.raises(error):
+            cklms_step(state, z, d)
+        assert (state.iteration, state.dictionary.size) == (size, size)
+
     def test_invalid_parameters_rejected(self):
         """Nonpositive mu and negative thresholds are usage errors."""
         with pytest.raises(ValueError):
@@ -594,7 +616,9 @@ class TestCklmsStep:
     @example(seed=7, dim=5, sigma=5.0, mu=1.0, imag_scale=1.0, delta1=0.0, delta2=0.0, n=150)
     # diverges: errors grow past 1e308 in modulus, then to inf and NaN
     @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0, n=150)
-    # thresholds 0 admit all 2100 samples, across the switch to column-major centers at 2049
+    # thresholds 0 admit all 1100 samples, across the switch to column-major centers at 1025
+    @example(seed=13, dim=5, sigma=5.0, mu=0.5, imag_scale=0.7, delta1=0.0, delta2=0.0, n=1100)
+    # thresholds 0 admit all 2100 samples, across the doubling of the column-major buffer
     @example(seed=11, dim=6, sigma=5.0, mu=0.5, imag_scale=0.5, delta1=0.0, delta2=0.0, n=2100)
     def test_step_bits_match_numpy_scalar_step(
         self, seed, dim, sigma, mu, imag_scale, delta1, delta2, n
@@ -618,8 +642,8 @@ class TestCklmsStep:
         assert [r.dict_size for r in records] == [e[3] for e in expected]
         if delta1 == delta2 == 0.0:  # every finite error is admitted
             assert state.dictionary.size == sum(cmath.isfinite(r.error) for r in records)
-        if n > 2048:
-            assert state.dictionary.size > 2048, "the run must reach column-major centers"
+        if n > 1024:
+            assert state.dictionary.size > 1024, "the run must reach column-major centers"
 
     def test_error_modulus_beyond_float_range(self):
         """A finite error whose modulus exceeds the float range compares as |e| = inf."""
