@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ckaf.kernels import _complex_array
+
 DEFAULT_LINEAR_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_POLY_COEFFS = (0.1 + 0.15j, 0.06 + 0.05j)
 
@@ -112,10 +114,10 @@ def apply_channel(s, cfg: ChannelConfig) -> np.ndarray:
     before the start of the sequence are treated as zero. With
     ``noise_stddev = 0`` the map is a pure deterministic function.
     """
-    sv = np.asarray(s, dtype=np.complex128)
+    sv = _complex_array(s, "s")
     if sv.ndim != 1 or sv.size == 0:
         raise ValueError("input sequence must be a non-empty 1-D array")
-    taps = np.asarray(cfg.linear_taps, dtype=np.complex128)
+    taps = _complex_array(cfg.linear_taps, "linear_taps")
     t = np.convolve(sv, taps)[: sv.size]
     q = t.copy()
     power = t
@@ -135,8 +137,7 @@ def build_dataset(r, s, cfg: EmbeddingConfig) -> Dataset:
     The pair for target index n is ((r(n+D), ..., r(n+D-L)), s(n)); n runs
     from max(0, L-D) through N-1-D so that every referenced sample exists.
     """
-    rv = np.asarray(r, dtype=np.complex128)
-    sv = np.asarray(s, dtype=np.complex128)
+    rv, sv = _complex_array(r, "r"), _complex_array(s, "s")
     if rv.shape != sv.shape or rv.ndim != 1:
         raise ValueError("received and source sequences must be 1-D and equal length")
     n_total = rv.size

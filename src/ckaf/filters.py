@@ -69,7 +69,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ckaf.documents import echo, parse
-from ckaf.kernels import _COMPLEX, KernelSpec, kernel_vector, self_kernel
+from ckaf.kernels import (
+    KernelSpec, _as_vector, _complex_array, _complex_scalar, kernel_vector, self_kernel,
+)
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
 
@@ -252,18 +254,13 @@ class LinearFilterState:
 
     def __post_init__(self):
         _require_epsilon(self.epsilon)
-        self.w = np.asarray(self.w, dtype=np.complex128)
+        self.w = _as_vector(self.w, "weights")  # no input could step an empty or 2-D filter
         if self.g is not None:
-            self.g = np.asarray(self.g, dtype=np.complex128)
-        if np.ndim(self.w) != 1 or np.size(self.w) == 0:  # no input could step such a filter
-            raise ValueError(
-                "weights must be a 1-D vector with at least one component, "
-                f"got shape {np.shape(self.w)}"
-            )
-        if self.g is not None and np.shape(self.g) != np.shape(self.w):
-            raise ValueError(
-                f"conjugate weights have shape {np.shape(self.g)}, weights {np.shape(self.w)}"
-            )
+            self.g = _complex_array(self.g, "conjugate weights")
+            if self.g.shape != self.w.shape:
+                raise ValueError(
+                    f"conjugate weights have shape {self.g.shape}, weights {self.w.shape}"
+                )
 
 
 def _require_step_size(mu: float) -> None:
@@ -291,16 +288,15 @@ def new_linear_state(dim: int, widely_linear: bool = False, epsilon: float = 1e-
 
 
 def _as_sample_vector(z) -> np.ndarray:
-    zv = np.asarray(z, _COMPLEX)
-    if zv.ndim != 1 or zv.size == 0:
-        raise ValueError("input must be a 1-D vector with at least one component")
-    if not np.logical_and.reduce(np.isfinite(zv)):  # .all() without its Python-level dispatch
+    zv = _as_vector(z, "input")
+    # counting is cheaper than any reduction of the bool array (.all(), np.logical_and.reduce)
+    if np.count_nonzero(np.isfinite(zv)) != zv.size:
         raise ArithmeticError("input vector has non-finite components")
     return zv
 
 
-def _as_target(d) -> np.complex128:
-    dv = np.complex128(d)
+def _as_target(d) -> complex:
+    dv = _complex_scalar(d, "target")
     if not cmath.isfinite(dv):
         raise ArithmeticError(f"target value {dv} is not finite")
     return dv
@@ -326,10 +322,11 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
 
     Mutates ``state`` (iteration counter, possibly the dictionary) and
     returns ``(state, StepRecord)``. Rejected samples change nothing but the
-    iteration counter. Raises ArithmeticError on non-finite inputs.
+    iteration counter. Raises ArithmeticError on non-finite inputs and
+    TypeError on non-numeric ones, before the state changes.
     """
     zv = _as_sample_vector(z)
-    dv = complex(_as_target(d))
+    dv = _as_target(d)
     dictionary = state.dictionary
     kzz = self_kernel(zv, state.kernel)
     # scalars are Python complex and float from here on: the same IEEE operations as on
@@ -376,10 +373,7 @@ def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     state together with the step record. Raises ValueError on a widely
     linear state (``g`` set), which belongs to ``wl_nclms_step``.
     """
-    zv, dv = _linear_sample(state, z, d, widely_linear=False)
-    gain = _gains(zv, mu, state.epsilon, widely_linear=False)
-    prediction, error = _normalized_lms_step(zv, dv, gain, state.w)
-    return state, _step_record(prediction, error, True, 0)
+    return _linear_step(state, z, d, mu, widely_linear=False)
 
 
 def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
@@ -390,14 +384,11 @@ def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
     which is the plain normalized LMS step written for the stacked vector
     (z, conj(z)).
     """
-    zv, dv = _linear_sample(state, z, d, widely_linear=True)
-    gain = _gains(zv, mu, state.epsilon, widely_linear=True)
-    prediction, error = _normalized_lms_step(zv, dv, gain, state.w, state.g)
-    return state, _step_record(prediction, error, True, 0)
+    return _linear_step(state, z, d, mu, widely_linear=True)
 
 
-def _linear_sample(state: LinearFilterState, z, d, widely_linear: bool) -> tuple:
-    """Validated (input, target) for one linear step on ``state``."""
+def _linear_step(state: LinearFilterState, z, d, mu: float, widely_linear: bool) -> tuple:
+    """The body of ``nclms_step`` and ``wl_nclms_step``: validate, update, record."""
     zv = _as_sample_vector(z)
     dv = _as_target(d)
     if widely_linear and state.g is None:
@@ -406,13 +397,12 @@ def _linear_sample(state: LinearFilterState, z, d, widely_linear: bool) -> tuple
         )
     if not widely_linear and state.g is not None:
         raise ValueError("state has a conjugate weight vector; use wl_nclms_step")
-    _require_length(zv, state.w.shape[0])
-    return zv, dv
-
-
-def _require_length(zv: np.ndarray, dim: int) -> None:
-    if zv.shape[0] != dim:
-        raise ValueError(f"input has {zv.shape[0]} components, filter expects {dim}")
+    if zv.shape[0] != state.w.shape[0]:
+        raise ValueError(f"input has {zv.shape[0]} components, filter expects {state.w.shape[0]}")
+    gain = _gains(zv, mu, state.epsilon, widely_linear)
+    prediction, error = _normalized_lms_step(zv, dv, gain, state.w, state.g)
+    squared_error = float(error.real * error.real + error.imag * error.imag)
+    return state, StepRecord(complex(prediction), complex(error), squared_error, True, 0)
 
 
 def _gains(z: np.ndarray, mu: float, epsilon: float, widely_linear: bool) -> np.ndarray:
@@ -429,7 +419,7 @@ def _gains(z: np.ndarray, mu: float, epsilon: float, widely_linear: bool) -> np.
     return np.divide(mu, denominator, out=np.zeros_like(denominator), where=denominator > 0)
 
 
-def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray] = None) -> tuple:
+def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray]) -> tuple:
     """The normalized LMS update on ``(..., L)`` inputs; returns (prediction, error).
 
     ``d`` and ``gain`` (from ``_gains``) have the leading shape of ``z``. The
@@ -447,16 +437,6 @@ def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray] = No
     if g is not None:
         g += step * z_conj
     return prediction, error
-
-
-def _step_record(prediction, error, admitted: bool, dict_size: int) -> StepRecord:
-    return StepRecord(
-        prediction=complex(prediction),
-        error=complex(error),
-        squared_error=float(error.real * error.real + error.imag * error.imag),
-        admitted=admitted,
-        dict_size=dict_size,
-    )
 
 
 @dataclass(frozen=True)
@@ -579,10 +559,11 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
 
     Raises FilterStepError, with ``run`` set to the row, at the first sample
     whose input or target is not finite, or at a failing cklms step.
+    Non-numeric inputs or targets raise TypeError before any step.
     """
     _check_algorithm(algorithm, config)
-    inputs = np.asarray(inputs, dtype=np.complex128)
-    targets = np.asarray(targets, dtype=np.complex128)
+    inputs = _complex_array(inputs, "inputs")
+    targets = _complex_array(targets, "targets")
     if inputs.ndim != 3 or 0 in inputs.shape or targets.shape != inputs.shape[:2]:
         raise ValueError(
             "expected non-empty inputs (runs, N, L) and targets (runs, N), "
@@ -707,7 +688,7 @@ def restore_state(doc):
             )
         # cklms_step never admits a non-finite center or coefficient
         for k, (center, coefficient) in enumerate(zip(snap.centers, snap.coefficients)):
-            center = np.array(center, dtype=np.complex128)
+            center = _complex_array(center, "center")
             if not np.isfinite(center).all():
                 raise ValueError(f"snapshot center {k} has non-finite components")
             if not cmath.isfinite(coefficient):

@@ -7,12 +7,17 @@ semidefiniteness spectrally, and computes squared RKHS distances between
 feature-space images of points.
 
 Every kernel value but the kernel filter's dictionary rows (see below)
-comes from one function, ``kernel_matrix(Z, C, spec)``, which writes each
-family's formula once. ``eval_complex_gaussian``,
-``eval_real_gaussian``, ``kernel_value``, ``kernel_vector`` and ``gram``
-validate their arguments and return the scalar, the row or the matrix of a
-single ``kernel_matrix`` call. Only ``self_kernel`` keeps closed forms of its
-own, because the filters call it on every step and it is O(nu).
+comes from one function, ``_difference_form``, the body of
+``kernel_matrix(Z, C, spec)``, which writes each family's formula once.
+``eval_complex_gaussian``, ``eval_real_gaussian``, ``kernel_value``,
+``kernel_vector``, ``gram`` and ``rkhs_distance_sq`` validate each argument
+once and return the scalar, the row or the matrix of a single call of it.
+Only ``self_kernel`` keeps closed forms of its own, because the filters call
+it on every step and it is O(nu).
+
+Caller data becomes complex samples in one place, ``_complex_array``: bool,
+integer, float and complex numbers are converted, and strings, bytes, None
+and object arrays raise TypeError naming the argument.
 
 ``kernel_matrix`` evaluates the Gaussian exponents in the difference form
 ``sum_i (z_i - conj(c_i))**2``. The kernel filter instead passes
@@ -66,7 +71,7 @@ REAL_GAUSSIAN = "real-gaussian"
 LINEAR = "linear"
 
 _FAMILIES = (COMPLEX_GAUSSIAN, REAL_GAUSSIAN, LINEAR)
-_COMPLEX = np.dtype(np.complex128)  # asarray with a dtype instance skips the type lookup
+_COMPLEX = np.dtype(np.complex128)  # native complex128 arrays carry this very instance
 
 
 @dataclass(frozen=True)
@@ -111,19 +116,53 @@ def linear_kernel() -> KernelSpec:
     return KernelSpec(LINEAR)
 
 
-def _as_vector(z) -> np.ndarray:
-    v = np.asarray(z, _COMPLEX)
+def _complex_array(x, name: str) -> np.ndarray:
+    """``x`` as a complex128 array; the one place caller data becomes complex samples.
+
+    An ndarray that already has the dtype is returned as it is, neither copied
+    nor converted. Anything numpy reads as bool, integer, float or complex
+    numbers is converted. Strings, bytes, None and object arrays are not
+    sample data and raise TypeError naming ``name``: ``np.asarray(x,
+    complex128)`` would parse the strings and bytes and turn None into NaN.
+    Shape rules are left to the callers.
+    """
+    a = x if type(x) is np.ndarray else np.asarray(x)
+    if a.dtype is _COMPLEX:
+        return a
+    if a.dtype.kind not in "biufc":
+        raise TypeError(f"{name} must be numeric, got dtype {a.dtype}")
+    return a.astype(_COMPLEX, copy=False)
+
+
+def _complex_scalar(x, name: str) -> complex:
+    """``x`` as a Python complex, under the rules of ``_complex_array`` plus 0-d shape."""
+    if isinstance(x, complex):  # Python complex and np.complex128, a subclass of it
+        return complex(x)
+    v = _complex_array(x, name)
+    if v.ndim != 0:
+        raise TypeError(f"{name} must be a scalar, got shape {v.shape}")
+    return v.item()
+
+
+def _as_vector(z, name: str) -> np.ndarray:
+    v = _complex_array(z, name)
     if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a 1-D vector with at least one component")
+        raise ValueError(
+            f"{name} must be a 1-D vector with at least one component, got shape {v.shape}"
+        )
     return v
 
 
-def _as_pair(z, w):
-    zv, wv = _as_vector(z), _as_vector(w)
+def _as_pair(z, w, spec: KernelSpec, names=("z", "w")):
+    """Validated vectors of one dimension, real for the real family."""
+    zv, wv = _as_vector(z, names[0]), _as_vector(w, names[1])
     if zv.shape != wv.shape:
         raise ValueError(
             f"dimension mismatch: {zv.shape[0]} vs {wv.shape[0]} components"
         )
+    if spec.family == REAL_GAUSSIAN:
+        _require_real(zv, names[0])
+        _require_real(wv, names[1])
     return zv, wv
 
 
@@ -138,7 +177,7 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
     This is the only place the kernel formulas are written out in the
     difference form; ``self_kernel`` has closed forms of kappa(z, z) and
     ``_factored_row`` the expanded form the filter uses. The scalar, vector
-    and Gram helpers are views of one call.
+    and Gram helpers validate their arguments and share its body.
 
     Parameters
     ----------
@@ -154,21 +193,26 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
         Complex dtype for the complex-Gaussian and linear families, float
         for the real family, whose inputs must have zero imaginary parts.
     """
-    Zm = np.asarray(Z, dtype=np.complex128)
-    Cm = np.asarray(C, dtype=np.complex128)
+    Zm, Cm = _complex_array(Z, "Z"), _complex_array(C, "C")
     if Zm.ndim != 2 or Cm.ndim != 2 or Zm.shape[1] != Cm.shape[1] or Zm.shape[1] == 0:
         raise ValueError(
             "Z and C must be (n, nu) and (m, nu) arrays with nu >= 1, "
             f"got shapes {Zm.shape} and {Cm.shape}"
         )
+    if spec.family == REAL_GAUSSIAN:
+        _require_real(Zm, "Z")
+        _require_real(Cm, "C")
+    return _difference_form(Zm, Cm, spec)
+
+
+def _difference_form(Zm: np.ndarray, Cm: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The body of ``kernel_matrix`` on validated (n, nu) and (m, nu) complex arrays."""
     # np.add.reduce is np.sum without its Python-level dispatch, which is a
     # measurable share of a filter step at small dictionary sizes
     if spec.family == COMPLEX_GAUSSIAN:
         diff = Zm[:, None] - np.conj(Cm)
         return np.exp(-np.add.reduce(diff * diff, axis=-1) / spec.sigma**2)
     if spec.family == REAL_GAUSSIAN:
-        _require_real(Zm, "Z")
-        _require_real(Cm, "C")
         d = Zm.real[:, None] - Cm.real
         return np.exp(-np.add.reduce(d * d, axis=-1) / spec.sigma**2)
     return Zm @ np.conj(Cm).T
@@ -283,13 +327,10 @@ def _split_conj_exp(row: np.ndarray, scale: float) -> bool:
     return True
 
 
-def _pair_value(z, w, spec: KernelSpec):
+def _pair_value(z, w, spec: KernelSpec, names=("z", "w")):
     """kappa(z, w) as the single entry of a 1 x 1 kernel matrix."""
-    zv, wv = _as_pair(z, w)
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(zv, "x")
-        _require_real(wv, "y")
-    return kernel_matrix(zv[None], wv[None], spec)[0, 0]
+    zv, wv = _as_pair(z, w, spec, names)
+    return _difference_form(zv[None], wv[None], spec)[0, 0]
 
 
 def eval_complex_gaussian(z, w, spec: KernelSpec) -> complex:
@@ -323,7 +364,7 @@ def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
     """
     if spec.family != REAL_GAUSSIAN:
         raise ValueError(f"spec has family {spec.family!r}, expected {REAL_GAUSSIAN!r}")
-    return float(_pair_value(x, y, spec))
+    return float(_pair_value(x, y, spec, ("x", "y")))
 
 
 def kernel_value(z, w, spec: KernelSpec) -> complex:
@@ -361,8 +402,8 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
         ``squares`` it is bit for bit the single row of
         ``kernel_matrix(z[None, :], centers, spec)``.
     """
-    zv = _as_vector(z)
-    c = np.asarray(centers, _COMPLEX)
+    zv = _as_vector(z, "z")
+    c = _complex_array(centers, "centers")
     if c.ndim != 2 or c.shape[1] != zv.shape[0]:
         raise ValueError(
             f"centers must have shape (m, {zv.shape[0]}), got {c.shape}"
@@ -371,9 +412,9 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
         _require_real(zv, "z")
         _require_real(c, "centers")
     if squares is None:
-        row = kernel_matrix(zv[None], c, spec)[0]
+        row = _difference_form(zv[None], c, spec)[0]
     else:
-        sq = np.asarray(squares, _COMPLEX)
+        sq = _complex_array(squares, "squares")
         if sq.shape != c.shape[:1]:
             raise ValueError(f"squares must have shape ({c.shape[0]},), got {sq.shape}")
         row = _factored_row(zv, c, sq, spec)
@@ -388,13 +429,19 @@ def self_kernel(z, spec: KernelSpec) -> float:
     bound in the imaginary parts, which is what destabilizes large step sizes
     in the kernel LMS update.
     """
-    zv = _as_vector(z)
+    zv = _as_vector(z, "z")
+    if spec.family == REAL_GAUSSIAN:
+        _require_real(zv, "z")
+    return _self_value(zv, spec)
+
+
+def _self_value(zv: np.ndarray, spec: KernelSpec) -> float:
+    """The body of ``self_kernel`` on a validated vector."""
     if spec.family == COMPLEX_GAUSSIAN:
         q = zv.imag
         # Python float arithmetic rounds as numpy's does; np.exp, not math.exp, keeps its bits
         return float(np.exp(4.0 * float(np.add.reduce(q * q)) / spec.sigma**2))
     if spec.family == REAL_GAUSSIAN:
-        _require_real(zv, "z")
         return 1.0
     return float(np.add.reduce(zv.real**2 + zv.imag**2))
 
@@ -414,7 +461,7 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
         Hermitian matrix with a real diagonal. Complex dtype for the
         complex-Gaussian and linear families, float for the real family.
     """
-    p = np.asarray(points, dtype=np.complex128)
+    p = _complex_array(points, "points")
     if p.ndim == 1:
         # a flat sequence is read as N scalar points in C^1
         p = p[:, None]
@@ -422,7 +469,7 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
         raise ValueError("points must be a non-empty (N, nu) collection")
     if spec.family == REAL_GAUSSIAN:
         _require_real(p, "points")
-    return kernel_matrix(p, p, spec)
+    return _difference_form(p, p, spec)
 
 
 def is_positive_semidefinite(K, tol: float = 1e-10) -> bool:
@@ -458,10 +505,10 @@ def rkhs_distance_sq(z, c, spec: KernelSpec) -> float:
     against a novelty threshold never see a spurious negative. The square
     root is left to the caller; the filters compare squared values.
     """
-    zv, cv = _as_pair(z, c)
+    zv, cv = _as_pair(z, c, spec, ("z", "c"))
     value = (
-        self_kernel(zv, spec)
-        + self_kernel(cv, spec)
-        - 2.0 * kernel_value(cv, zv, spec).real
+        _self_value(zv, spec)
+        + _self_value(cv, spec)
+        - 2.0 * _difference_form(cv[None], zv[None], spec)[0, 0].real
     )
     return max(0.0, float(value))

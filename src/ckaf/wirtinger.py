@@ -24,6 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ckaf.kernels import _as_vector, _complex_array, _complex_scalar
+
 DEFAULT_STEP = 1e-5
 
 
@@ -67,9 +69,7 @@ def numeric_wirtinger_gradient(
     Raises ArithmeticError if the evaluator returns a non-finite value at any
     probe point.
     """
-    zv = np.asarray(z, dtype=np.complex128)
-    if zv.ndim != 1 or zv.size == 0:
-        raise ValueError("expected a 1-D vector with at least one component")
+    zv = _as_vector(z, "z")
     nu = zv.shape[0]
     r = np.empty(nu, dtype=np.complex128)
     conj_r = np.empty(nu, dtype=np.complex128)
@@ -96,8 +96,7 @@ def check_inner_product_gradients(w, probe, step: float = DEFAULT_STEP) -> float
     each evaluated numerically at ``probe``; the return value is the largest
     componentwise absolute error across all eight gradient vectors.
     """
-    wv = np.asarray(w, dtype=np.complex128)
-    pv = np.asarray(probe, dtype=np.complex128)
+    wv, pv = _complex_array(w, "w"), _complex_array(probe, "probe")
     if wv.shape != pv.shape:
         raise ValueError("w and probe must have matching shapes")
     zeros = np.zeros_like(wv)
@@ -130,8 +129,7 @@ def check_taylor_first_order(
     correction terms are conjugates, so the prediction increment reduces to
     ``2 Re <h, conj(c)-slot form>``; no special casing is needed.
     """
-    zv = np.asarray(z, dtype=np.complex128)
-    hv = np.asarray(h, dtype=np.complex128)
+    zv, hv = _complex_array(z, "z"), _complex_array(h, "h")
     if zv.shape != hv.shape:
         raise ValueError("z and h must have matching shapes")
     g = numeric_wirtinger_gradient(func, zv, step)
@@ -161,7 +159,7 @@ def check_steepest_ascent(
     Raises ValueError when the conjugate gradient vanishes at z, since no
     ascent direction is then defined.
     """
-    zv = np.asarray(z, dtype=np.complex128)
+    zv = _complex_array(z, "z")
     gen = np.random.default_rng(rng)
     g = numeric_wirtinger_gradient(func, zv, min(step, DEFAULT_STEP)).conj_r_derivative
     norm = float(np.linalg.norm(g))
@@ -188,11 +186,11 @@ def squared_error_loss(phi, d) -> Callable[[np.ndarray], complex]:
     update direction. See analytic_squared_error_gradients for the closed
     form used as the test oracle.
     """
-    phiv = np.asarray(phi, dtype=np.complex128)
-    dval = complex(d)
+    phiv = _complex_array(phi, "phi")
+    dval = _complex_scalar(d, "d")
 
     def loss(w):
-        e = dval - np.sum(phiv * np.conj(np.asarray(w, dtype=np.complex128)))
+        e = dval - np.sum(phiv * np.conj(_complex_array(w, "w")))
         return complex(abs(e) ** 2)
 
     return loss
@@ -204,9 +202,8 @@ def analytic_squared_error_gradients(phi, d, w):
     Returns (error, r_derivative, conj_r_derivative) where the gradients are
     ``-e * conj(phi)`` and ``-conj(e) * phi``.
     """
-    phiv = np.asarray(phi, dtype=np.complex128)
-    wv = np.asarray(w, dtype=np.complex128)
-    e = complex(d) - np.sum(phiv * np.conj(wv))
+    phiv, wv = _complex_array(phi, "phi"), _complex_array(w, "w")
+    e = _complex_scalar(d, "d") - np.sum(phiv * np.conj(wv))
     return e, -e * np.conj(phiv), -np.conj(e) * phiv
 
 

@@ -573,8 +573,15 @@ class TestCklmsStep:
             ([[0.1 + 0j, 0.2j]], 1 + 0j, ValueError),
             ([], 1 + 0j, ValueError),
             ([0.1 + 0j, 0.2j], [1 + 0j, 2 + 0j], TypeError),
+            (["0.1+1j", "0.2j"], 1 + 0j, TypeError),
+            ([b"0.1", b"0.2j"], 1 + 0j, TypeError),
+            ([0.1 + 0j, 0.2j], "1+2j", TypeError),
+            ([0.1 + 0j, 0.2j], None, TypeError),
         ],
-        ids=["nan-input", "nan-target", "2-D-input", "empty-input", "two-element-target"],
+        ids=[
+            "nan-input", "nan-target", "2-D-input", "empty-input", "two-element-target",
+            "string-input", "bytes-input", "string-target", "None-target",
+        ],
     )
     def test_malformed_sample_refused_and_state_kept(self, size, z, d, error):
         """A malformed input or target raises before the step changes anything, with an
@@ -1058,8 +1065,9 @@ class TestRunFilter:
             (np.array([np.nan + 0j, 0j]), "input vector has non-finite components"),
             (np.array([0.5 + 0j]), "input has 1 components, filter expects 2"),
             (np.array([[0.5 + 0j, 0j]]), "input must be a 1-D vector"),
+            (np.array(["0.5", "0"]), "input must be numeric"),
         ],
-        ids=["non-finite", "wrong-length", "2-D"],
+        ids=["non-finite", "wrong-length", "2-D", "string"],
     )
     def test_linear_step_errors_carry_iteration_index(self, algorithm, fault, message):
         """A bad input vector at sample k raises FilterStepError("step k") for nclms/wl_nclms."""

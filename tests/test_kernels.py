@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ckaf.channel import ChannelConfig, EmbeddingConfig, apply_channel, build_dataset
+from ckaf.filters import LinearFilterState, LinearLmsConfig, run_block
 from ckaf.kernels import (
     KernelSpec,
     complex_gaussian,
@@ -24,6 +26,7 @@ from ckaf.kernels import (
     rkhs_distance_sq,
     self_kernel,
 )
+from ckaf.wirtinger import numeric_wirtinger_gradient
 
 # Values below were frozen from 40-digit evaluation of the closed forms.
 EXP_ONE = 2.718281828459045
@@ -440,3 +443,66 @@ class TestRkhsDistanceSq:
         """Mismatched dimensions are refused."""
         with pytest.raises(ValueError, match="mismatch"):
             rkhs_distance_sq([1j], [1j, 0], complex_gaussian(1.0))
+
+
+_SPEC = complex_gaussian(1.0)
+_Z = np.array([0.1 + 0.2j, -0.3j])
+_NON_NUMERIC = {
+    "string": np.array(["0.1", "0.2j"]),
+    "bytes": np.array([b"0.1", b"0.2j"]),
+    "None": None,
+    "object": np.array([0.1, 0.2j], dtype=object),
+}
+# each entry: the argument name the error must carry, and a call taking the bad value there
+_ENTRIES = {
+    "kernel_value.z": ("z", lambda x: kernel_value(x, _Z, _SPEC)),
+    "kernel_value.w": ("w", lambda x: kernel_value(_Z, x, _SPEC)),
+    "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC)),
+    "kernel_vector.centers": ("centers", lambda x: kernel_vector(_Z, x, _SPEC)),
+    "kernel_vector.squares": ("squares", lambda x: kernel_vector(_Z, _Z[None], _SPEC, x)),
+    "kernel_matrix.Z": ("Z", lambda x: kernel_matrix(x, _Z[None], _SPEC)),
+    "kernel_matrix.C": ("C", lambda x: kernel_matrix(_Z[None], x, _SPEC)),
+    "gram": ("points", lambda x: gram(x, _SPEC)),
+    "self_kernel": ("z", lambda x: self_kernel(x, _SPEC)),
+    "rkhs_distance_sq.z": ("z", lambda x: rkhs_distance_sq(x, _Z, _SPEC)),
+    "rkhs_distance_sq.c": ("c", lambda x: rkhs_distance_sq(_Z, x, _SPEC)),
+    "run_block.inputs": (
+        "inputs", lambda x: run_block(x, np.zeros((1, 2)), "nclms", LinearLmsConfig(0.1))
+    ),
+    "run_block.targets": (
+        "targets", lambda x: run_block(_Z[None, :, None], x, "nclms", LinearLmsConfig(0.1))
+    ),
+    "LinearFilterState.w": ("weights", lambda x: LinearFilterState(w=x)),
+    "apply_channel": ("s", lambda x: apply_channel(x, ChannelConfig())),
+    "build_dataset.r": ("r", lambda x: build_dataset(x, np.zeros(2), EmbeddingConfig(1, 0))),
+    "build_dataset.s": ("s", lambda x: build_dataset(np.zeros(2), x, EmbeddingConfig(1, 0))),
+    "numeric_wirtinger_gradient": ("z", lambda x: numeric_wirtinger_gradient(np.sum, x)),
+}
+
+
+class TestComplexInput:
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            pytest.param(entry, value, id=f"{call}-{kind}")
+            for call, entry in _ENTRIES.items()
+            for kind, value in _NON_NUMERIC.items()
+            # squares=None is the default: no cached squares, the difference form
+            if (call, kind) != ("kernel_vector.squares", "None")
+        ],
+    )
+    def test_non_numeric_input_raises_type_error(self, entry, value):
+        """Strings, bytes, None and object arrays are not parsed or turned into NaN: every
+        public entry that takes caller samples raises TypeError naming the argument."""
+        name, call = entry
+        with pytest.raises(TypeError, match=f"^{name} must be numeric, got dtype"):
+            call(value)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32, np.complex64, ">c16"])
+    def test_numeric_dtypes_are_converted(self, dtype):
+        """Bool, integer, float and complex data of any width or byte order is accepted and
+        gives the value of the same numbers as complex128."""
+        x = np.array([1, 0], dtype=dtype)
+        expected = kernel_value(x.astype(np.complex128), _Z, _SPEC)
+        assert kernel_value(x, _Z, _SPEC) == expected
+        assert kernel_value(x.tolist(), _Z, _SPEC) == expected
