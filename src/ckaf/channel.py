@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ckaf.kernels import _complex_array
+from ckaf.kernels import _complex_array, _nonnegative_finite
 
 DEFAULT_LINEAR_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_POLY_COEFFS = (0.1 + 0.15j, 0.06 + 0.05j)
@@ -63,10 +63,8 @@ class ChannelConfig:
     poly_coeffs: tuple[complex, ...] = DEFAULT_POLY_COEFFS
 
     def __post_init__(self):
-        if not 0 <= self.noise_stddev < math.inf:  # refuses NaN and inf as well
-            raise ValueError(
-                f"noise_stddev must be finite and nonnegative, got {self.noise_stddev}"
-            )
+        # infinite noise makes every received sample non-finite
+        _nonnegative_finite(self.noise_stddev, "noise_stddev")
         if len(self.linear_taps) == 0:
             raise ValueError("at least one linear tap is required")
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
-import math
 import os
 import sys
 from pathlib import Path
@@ -221,12 +220,13 @@ def _cmd_verify_kernel(args) -> int:
     if args.n_points < 2:
         print("error: --n-points must be at least 2", file=sys.stderr)
         return 2
-    if not 0 < args.sigma < math.inf:  # also refuses --sigma nan
-        print("error: --sigma must be positive and finite", file=sys.stderr)
+    try:
+        spec = complex_gaussian(args.sigma)
+    except ValueError as exc:
+        print(f"error: --sigma: {exc}", file=sys.stderr)
         return 2
     rng = np.random.default_rng(7)
     n = args.n_points
-    spec = complex_gaussian(args.sigma)
     failures = []
 
     points = 0.5 * (rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6)))

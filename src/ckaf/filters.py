@@ -46,12 +46,13 @@ predictions and dictionary sizes straight into the block's arrays.
 
 Novelty criterion
 -----------------
-A candidate center is admitted only when its error is finite, it is far
-from the dictionary in RKHS norm AND its prediction error is large: with
-``dis = min_k ||phi(z) - phi(z(k))||``, admit when ``e`` is finite,
-``dis >= delta1`` and ``|e| >= delta2``. A non-finite error (a diverged
-prediction) is never written into the dictionary. An empty dictionary
-always admits. Rejected samples still consume an iteration and
+A candidate center is admitted only when its coefficient is finite, it is
+far from the dictionary in RKHS norm AND its prediction error is large:
+with ``dis = min_k ||phi(z) - phi(z(k))||``, admit when ``a = mu * e`` is
+finite, ``dis >= delta1`` and ``|e| >= delta2``. A non-finite coefficient (a
+diverged prediction, or a finite error that ``mu > 1`` overflows) is never
+written into the dictionary. An empty dictionary admits any finite
+coefficient. Rejected samples still consume an iteration and
 still produce a StepRecord, so learning curves include their errors.
 Setting ``delta1 = delta2 = 0`` disables sparsification entirely.
 
@@ -68,9 +69,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ckaf.documents import echo, parse
+from ckaf.documents import ConfigError, echo, parse
 from ckaf.kernels import (
-    KernelSpec, _as_vector, _complex_array, _complex_scalar, kernel_vector, self_kernel,
+    KernelSpec, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite, _positive_finite,
+    kernel_vector, self_kernel,
 )
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -117,12 +119,9 @@ class NoveltyConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta1", "delta2"):
-            value = getattr(self, name)
-            if not value >= 0:  # also refuses NaN, which every comparison lets through
-                raise ValueError(f"novelty thresholds must be nonnegative, got {name}={value}")
-            if value == math.inf:  # an infinite threshold admits nothing after the first center
-                raise ValueError(f"novelty thresholds must be finite, got {name}={value}")
+        # an infinite threshold admits nothing after the first center
+        _nonnegative_finite(self.delta1, "delta1")
+        _nonnegative_finite(self.delta2, "delta2")
 
 
 class Dictionary:
@@ -236,7 +235,8 @@ class CklmsState:
     iteration: int = 0
 
     def __post_init__(self):
-        _require_step_size(self.mu)
+        _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
+        _nonnegative_finite(self.iteration, "iteration")  # a negative count breaks the next step
 
 
 @dataclass
@@ -253,7 +253,7 @@ class LinearFilterState:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        _require_epsilon(self.epsilon)
+        _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
         self.w = _as_vector(self.w, "weights")  # no input could step an empty or 2-D filter
         if self.g is not None:
             self.g = _complex_array(self.g, "conjugate weights")
@@ -261,18 +261,10 @@ class LinearFilterState:
                 raise ValueError(
                     f"conjugate weights have shape {self.g.shape}, weights {self.w.shape}"
                 )
-
-
-def _require_step_size(mu: float) -> None:
-    if not 0 < mu < math.inf:  # an infinite step turns every weight into NaN
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-
-
-def _require_epsilon(epsilon: float) -> None:
-    if not epsilon >= 0:  # also refuses NaN, which every comparison lets through
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon == math.inf:  # an infinite regularizer makes every gain 0
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+        # a non-finite weight makes every later prediction inf or NaN
+        for name, weights in (("weights", self.w), ("conjugate weights", self.g)):
+            if weights is not None and not np.isfinite(weights).all():
+                raise ValueError(f"{name} have non-finite components")
 
 
 def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None) -> CklmsState:
@@ -334,7 +326,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
     if dictionary._size == 0:
         prediction = 0j
         error = dv
-        admitted = True
+        novel = True
     else:
         centers, coefficients, self_kernels, squares = dictionary.views
         kvec = kernel_vector(zv, centers, state.kernel, squares)
@@ -343,22 +335,20 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         distance_sq = kzz + self_kernels
         distance_sq -= 2.0 * kvec.real
         dis = math.sqrt(max(float(np.minimum.reduce(distance_sq)), 0.0))
-        # novelty criterion; finiteness is tested explicitly because every
-        # comparison with NaN is false and |nan + inf j| is inf
-        admitted = bool(
-            cmath.isfinite(error)
-            and dis >= state.novelty.delta1
-            and _modulus(error) >= state.novelty.delta2
-        )
+        novel = dis >= state.novelty.delta1 and _modulus(error) >= state.novelty.delta2
+    coefficient = state.mu * error
+    # novelty criterion; finiteness is tested explicitly because every comparison with NaN
+    # is false and |nan + inf j| is inf
+    admitted = novel and cmath.isfinite(coefficient)
     if admitted:
-        dictionary.append(zv, state.mu * error, kzz)  # append copies zv into its buffer
+        dictionary.append(zv, coefficient, kzz)  # append copies zv into its buffer
     state.iteration += 1
     squared_error = error.real * error.real + error.imag * error.imag
     return state, StepRecord(prediction, error, squared_error, admitted, dictionary._size)
 
 
 def _modulus(e: complex) -> float:
-    """|e| by libm ``hypot``, as ``np.abs`` computes it, for finite ``e``."""
+    """|e| by libm ``hypot``, as ``np.abs`` computes it."""
     try:
         return abs(e)
     except OverflowError:  # finite parts whose modulus exceeds the float range; numpy gives inf
@@ -448,7 +438,7 @@ class CklmsConfig:
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
 
     def __post_init__(self):
-        _require_step_size(self.mu)
+        _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
 
 
 @dataclass(frozen=True)
@@ -459,8 +449,8 @@ class LinearLmsConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        _require_step_size(self.mu)
-        _require_epsilon(self.epsilon)
+        _positive_finite(self.mu, "mu")  # an infinite step turns every weight into NaN
+        _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
 
 
 class FilterRun(NamedTuple):
@@ -665,45 +655,42 @@ def restore_state(doc):
 
     The document is parsed by ``ckaf.documents.parse`` at path ``snapshot``,
     so a missing, unknown or mistyped field raises a ValueError naming its
-    dotted path. States that no run of the filter could reach are refused
-    too: unequal center and coefficient counts, a negative iteration,
-    non-finite centers, coefficients or weights, centers of unequal widths and,
-    for the real kernel, centers with nonzero imaginary parts. The last two
-    name the center's path, as in ``snapshot.centers[1]: ...``.
+    dotted path. The state constructors refuse what they refuse anywhere,
+    such as a negative iteration or non-finite weights, as a ValueError at
+    path ``snapshot``. States that no run of the filter could reach are
+    refused too: a linear algorithm that disagrees with ``g``, unequal center
+    and coefficient counts, non-finite centers or coefficients, centers of
+    unequal widths and, for the real kernel, centers with nonzero imaginary
+    parts. The last two name the center's path, as in
+    ``snapshot.centers[1]: ...``.
     """
     # a document that is not an object is refused by parse
     algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
     if algorithm not in ALGORITHMS:
         raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
     snap = parse(_CklmsSnapshot if algorithm == "cklms" else _LinearSnapshot, doc, "snapshot")
-    if algorithm == "cklms":
-        state = CklmsState(snap.kernel, snap.mu, snap.novelty, iteration=snap.iteration)
-        if len(snap.centers) != len(snap.coefficients):
-            raise ValueError(
-                f"snapshot has {len(snap.centers)} centers but {len(snap.coefficients)} coefficients"
-            )
-        if snap.iteration < 0:  # a negative count breaks the next step
-            raise ValueError(
-                f"snapshot iteration must be a non-negative integer, got {snap.iteration!r}"
-            )
-        # cklms_step never admits a non-finite center or coefficient
-        for k, (center, coefficient) in enumerate(zip(snap.centers, snap.coefficients)):
-            center = _complex_array(center, "center")
-            if not np.isfinite(center).all():
-                raise ValueError(f"snapshot center {k} has non-finite components")
-            if not cmath.isfinite(coefficient):
-                raise ValueError(f"snapshot coefficient {k} is not finite")
-            try:  # a center of another width, or a complex center for the real kernel
-                state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
-            except ValueError as exc:
-                raise ValueError(f"snapshot.centers[{k}]: {exc}") from exc
-        return state
-    widely_linear = snap.g is not None
-    if widely_linear != (algorithm == "wl_nclms"):
-        verb = "has" if widely_linear else "needs"
+    if algorithm != "cklms" and (snap.g is not None) != (algorithm == "wl_nclms"):
+        verb = "has" if snap.g is not None else "needs"
         raise ValueError(f"snapshot algorithm {algorithm!r} {verb} conjugate weights g")
-    state = LinearFilterState(w=snap.w, g=snap.g, epsilon=snap.epsilon)
-    for name, weights in (("w", state.w), ("g", state.g)):
-        if weights is not None and not np.isfinite(weights).all():  # a step would predict inf or NaN
-            raise ValueError(f"snapshot {name} has non-finite components")
+    try:
+        if algorithm != "cklms":
+            return LinearFilterState(w=snap.w, g=snap.g, epsilon=snap.epsilon)
+        state = CklmsState(snap.kernel, snap.mu, snap.novelty, iteration=snap.iteration)
+    except ValueError as exc:
+        raise ConfigError("snapshot", str(exc)) from exc
+    if len(snap.centers) != len(snap.coefficients):
+        raise ValueError(
+            f"snapshot has {len(snap.centers)} centers but {len(snap.coefficients)} coefficients"
+        )
+    # cklms_step never admits a non-finite center or coefficient
+    for k, (center, coefficient) in enumerate(zip(snap.centers, snap.coefficients)):
+        center = _complex_array(center, "center")
+        if not np.isfinite(center).all():
+            raise ValueError(f"snapshot center {k} has non-finite components")
+        if not cmath.isfinite(coefficient):
+            raise ValueError(f"snapshot coefficient {k} is not finite")
+        try:  # a center of another width, or a complex center for the real kernel
+            state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
+        except ValueError as exc:
+            raise ValueError(f"snapshot.centers[{k}]: {exc}") from exc
     return state

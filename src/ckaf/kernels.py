@@ -97,8 +97,7 @@ class KernelSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )
-        if not 0 < self.sigma < math.inf:  # also refuses NaN
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        _positive_finite(self.sigma, "sigma")  # an infinite width makes every kernel value 1
 
 
 def complex_gaussian(sigma: float) -> KernelSpec:
@@ -142,6 +141,18 @@ def _complex_scalar(x, name: str) -> complex:
     if v.ndim != 0:
         raise TypeError(f"{name} must be a scalar, got shape {v.shape}")
     return v.item()
+
+
+def _positive_finite(value, name: str) -> None:
+    """Refuse ``value`` unless ``0 < value < inf``; NaN fails the comparison and is refused too."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative_finite(value, name: str) -> None:
+    """Refuse ``value`` unless ``0 <= value < inf``; NaN fails the comparison and is refused too."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _as_vector(z, name: str) -> np.ndarray:
@@ -503,7 +514,10 @@ def rkhs_distance_sq(z, c, spec: KernelSpec) -> float:
 
     and clamps tiny negative rounding results to zero, so callers comparing
     against a novelty threshold never see a spurious negative. The square
-    root is left to the caller; the filters compare squared values.
+    root is left to the caller: ``cklms_step`` evaluates the same expansion
+    against every center and compares the distance to the nearest one,
+    ``sqrt(max(min_k d2_k, 0))`` with ``d2_k`` the unclamped squared distance
+    to center ``k``, with ``delta1``.
     """
     zv, cv = _as_pair(z, c, spec, ("z", "c"))
     value = (

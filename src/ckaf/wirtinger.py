@@ -20,6 +20,7 @@ The inner product convention throughout is linear in the first slot,
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,8 +51,8 @@ class BatteryFunction(NamedTuple):
 
 
 def _evaluate(func, z) -> complex:
-    value = complex(func(z))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    value = _complex_scalar(func(z), "evaluator value")
+    if not cmath.isfinite(value):
         raise ArithmeticError(f"evaluator returned non-finite value {value!r}")
     return value
 

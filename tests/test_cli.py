@@ -87,37 +87,37 @@ class TestEqualize:
             (
                 "channel",
                 "noise_stddev",
-                "experiment.channel: noise_stddev must be finite and nonnegative, got nan",
+                "experiment.channel: noise_stddev must be nonnegative and finite, got nan",
             ),
             (
                 0,
                 "delta1",
-                "experiment.algorithms[0]: novelty thresholds must be nonnegative, got delta1=nan",
+                "experiment.algorithms[0]: delta1 must be nonnegative and finite, got nan",
             ),
             (
                 0,
                 "delta2",
-                "experiment.algorithms[0]: novelty thresholds must be nonnegative, got delta2=nan",
+                "experiment.algorithms[0]: delta2 must be nonnegative and finite, got nan",
             ),
-            (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative, got nan"),
+            (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative and finite, got nan"),
             ("signal", "amplitude", "experiment.signal: amplitude must be finite, got inf"),
             (
                 "channel",
                 "noise_stddev",
-                "experiment.channel: noise_stddev must be finite and nonnegative, got inf",
+                "experiment.channel: noise_stddev must be nonnegative and finite, got inf",
             ),
             (0, "sigma", "experiment.algorithms[0]: sigma must be positive and finite, got inf"),
             (
                 0,
                 "delta1",
-                "experiment.algorithms[0]: novelty thresholds must be finite, got delta1=inf",
+                "experiment.algorithms[0]: delta1 must be nonnegative and finite, got inf",
             ),
             (
                 0,
                 "delta2",
-                "experiment.algorithms[0]: novelty thresholds must be finite, got delta2=inf",
+                "experiment.algorithms[0]: delta2 must be nonnegative and finite, got inf",
             ),
-            (1, "epsilon", "experiment.algorithms[1]: epsilon must be finite, got inf"),
+            (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative and finite, got inf"),
         ],
     )
     def test_nan_setting_exits_2_naming_its_path(self, capsys, tmp_path, section, field, message):
@@ -213,10 +213,11 @@ class TestVerificationCommands:
     def test_verify_kernel_rejects_bad_flags(self, capsys):
         """Nonsensical verification parameters exit nonzero."""
         assert main(["verify-kernel", "--n-points", "1"]) == 2
-        assert main(["verify-kernel", "--sigma", "0"]) == 2
-        assert main(["verify-kernel", "--sigma", "nan"]) == 2
-        assert main(["verify-kernel", "--sigma", "inf"]) == 2
         capsys.readouterr()
+        for sigma in ("0", "nan", "inf", "-1"):
+            assert main(["verify-kernel", "--sigma", sigma]) == 2
+            message = f"error: --sigma: sigma must be positive and finite, got {float(sigma)}"
+            assert message in capsys.readouterr().err
 
 
 class TestBundledConfig:

@@ -128,8 +128,8 @@ class TestConfigParsing:
         for index, setting, message in [
             (1, {"sigma": 0}, "sigma must be positive"),
             (1, {"kernel": "laplacian"}, "unknown kernel family"),
-            (1, {"delta1": -0.1}, "novelty thresholds must be nonnegative"),
-            (1, {"delta2": -0.1}, "novelty thresholds must be nonnegative"),
+            (1, {"delta1": -0.1}, "delta1 must be nonnegative and finite, got -0.1"),
+            (1, {"delta2": -0.1}, "delta2 must be nonnegative and finite, got -0.1"),
             (1, {"mu": 0}, "mu must be positive"),
             (0, {"mu": -1}, "mu must be positive"),
             (0, {"mu": math.inf}, "mu must be positive and finite, got inf"),

@@ -78,11 +78,12 @@ def brute_force_cklms(samples, sigma, mu, delta1, delta2):
         pred = sum(a * kappa(z, c) for c, a in zip(centers, coeffs))
         e = d - pred
         if not centers:
-            admitted = True
+            novel = True
         else:
             dis_sq = min(selfk(z) + selfk(c) - 2.0 * kappa(z, c).real for c in centers)
             dis = math.sqrt(max(dis_sq, 0.0))
-            admitted = cmath.isfinite(e) and dis >= delta1 and abs(e) >= delta2
+            novel = dis >= delta1 and abs(e) >= delta2
+        admitted = cmath.isfinite(mu * e) and novel
         if admitted:
             centers.append(z)
             coeffs.append(mu * e)
@@ -114,7 +115,7 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
         if not centers:
             prediction = np.complex128(0)
             error = dv
-            admitted = True
+            novel = True
         else:
             w = np.conj(zv)
             split = len(centers) > 1024
@@ -143,10 +144,12 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
             error = dv - prediction
             distance_sq = kzz + np.array(self_kernels) - 2.0 * kvec.real
             dis = np.sqrt(max(float(distance_sq.min()), 0.0))
-            admitted = bool(cmath.isfinite(error) and dis >= delta1 and np.abs(error) >= delta2)
+            novel = dis >= delta1 and np.abs(error) >= delta2
+        coefficient = mu * error
+        admitted = bool(cmath.isfinite(coefficient) and novel)
         if admitted:
             centers.append(zv.copy())
-            coefficients.append(mu * error)
+            coefficients.append(coefficient)
             self_kernels.append(kzz)
             squares.append(np.add.reduce(zv * zv))
         trace.append((complex(prediction), complex(error), admitted, len(centers)))
@@ -544,6 +547,20 @@ class TestCklmsStep:
         assert record.dict_size == 2
         assert not np.any(np.isnan(state.dictionary.coefficients))
 
+    def test_overflowing_coefficient_never_admitted(self):
+        """A finite error whose coefficient mu * e overflows is not admitted, on an empty or a
+        non-empty dictionary, and the state still round-trips through a snapshot."""
+        state = new_cklms_state(complex_gaussian(1.0), mu=2.0)
+        state, record = cklms_step(state, [0.1 + 0j], 1e308 + 0j)
+        assert (record.error, record.admitted, record.dict_size) == (1e308, False, 0)
+        state, record = cklms_step(state, [0.1 + 0j], 0.5 + 0j)
+        assert (record.admitted, record.dict_size) == (True, 1)
+        state, record = cklms_step(state, [3.0 + 0j], 1e308 + 0j)
+        assert cmath.isfinite(record.error) and not record.admitted
+        assert state.dictionary.coefficients.tolist() == [1 + 0j]
+        restored = restore_state(json.loads(json.dumps(snapshot_state(state))))
+        assert snapshot_state(restored) == snapshot_state(state)
+
     def test_squared_error_consistent(self):
         """squared_error equals |error|^2 within rounding."""
         rng = np.random.default_rng(4)
@@ -594,19 +611,21 @@ class TestCklmsStep:
         assert (state.iteration, state.dictionary.size) == (size, size)
 
     def test_invalid_parameters_rejected(self):
-        """Nonpositive mu and negative thresholds are usage errors."""
+        """Nonpositive mu, negative thresholds and a negative iteration are usage errors."""
         with pytest.raises(ValueError):
             new_cklms_state(complex_gaussian(1.0), mu=0.0)
         with pytest.raises(ValueError):
             NoveltyConfig(-0.1, 0.0)
-        for thresholds in [(math.nan, 0.0), (0.0, math.nan)]:
-            with pytest.raises(ValueError, match="=nan"):
+        for thresholds, name in [((math.nan, 0.0), "delta1"), ((0.0, math.nan), "delta2")]:
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got nan$"):
                 NoveltyConfig(*thresholds)
         for thresholds, name in [((math.inf, 0.0), "delta1"), ((0.0, math.inf), "delta2")]:
-            with pytest.raises(ValueError, match=f"must be finite, got {name}=inf"):
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative and finite, got inf$"):
                 NoveltyConfig(*thresholds)
         with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
             new_cklms_state(complex_gaussian(math.inf), mu=1.0)
+        with pytest.raises(ValueError, match="^iteration must be nonnegative and finite, got -3$"):
+            CklmsState(complex_gaussian(1.0), 0.5, iteration=-3)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -621,7 +640,8 @@ class TestCklmsStep:
     )
     # thresholds 0 admit all 150 samples, across the buffer doublings at 64 and 128 centers
     @example(seed=7, dim=5, sigma=5.0, mu=1.0, imag_scale=1.0, delta1=0.0, delta2=0.0, n=150)
-    # diverges: errors grow past 1e308 in modulus, then to inf and NaN
+    # diverges: errors grow past 1e308 in modulus, then to inf and NaN; finite errors that
+    # mu = 1.5 overflows are not admitted
     @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0, n=150)
     # thresholds 0 admit all 1100 samples, across the switch to column-major centers at 1025
     @example(seed=13, dim=5, sigma=5.0, mu=0.5, imag_scale=0.7, delta1=0.0, delta2=0.0, n=1100)
@@ -647,8 +667,8 @@ class TestCklmsStep:
         assert got.tobytes() == np.array([e[1] for e in expected]).tobytes()
         assert [r.admitted for r in records] == [e[2] for e in expected]
         assert [r.dict_size for r in records] == [e[3] for e in expected]
-        if delta1 == delta2 == 0.0:  # every finite error is admitted
-            assert state.dictionary.size == sum(cmath.isfinite(r.error) for r in records)
+        if delta1 == delta2 == 0.0:  # every finite coefficient is admitted
+            assert state.dictionary.size == sum(cmath.isfinite(mu * r.error) for r in records)
         if n > 1024:
             assert state.dictionary.size > 1024, "the run must reach column-major centers"
 
@@ -734,19 +754,28 @@ class TestNclmsStep:
     @pytest.mark.parametrize("epsilon", [-1e-6, math.nan, math.inf])
     def test_bad_epsilon_rejected(self, epsilon):
         """epsilon must be nonnegative and finite; NaN, which passes every < test, is refused too."""
-        message = "epsilon must be finite" if epsilon == math.inf else "epsilon must be nonnegative"
+        message = f"^epsilon must be nonnegative and finite, got {epsilon}$"
         with pytest.raises(ValueError, match=message):
             new_linear_state(2, epsilon=epsilon)
         with pytest.raises(ValueError, match=message):
             LinearLmsConfig(mu=0.1, epsilon=epsilon)
 
     def test_weights_must_be_a_non_empty_vector(self):
-        """A weight vector no input could step is refused when the state is built."""
+        """A weight vector no input could step, or one whose predictions would be non-finite,
+        is refused when the state is built."""
         message = "weights must be a 1-D vector with at least one component"
         with pytest.raises(ValueError, match=message):
             new_linear_state(0)
         with pytest.raises(ValueError, match=message):
             LinearFilterState(w=np.zeros((2, 2), dtype=complex))
+        for value in (np.nan + 0j, complex(0.0, np.inf)):
+            with pytest.raises(ValueError, match="^weights have non-finite components$"):
+                LinearFilterState(w=np.array([value]))
+            with pytest.raises(ValueError, match="^weights have non-finite components$"):
+                LinearFilterState(w=np.array([1 + 0j, value]), g=np.zeros(2, dtype=complex))
+            message = "^conjugate weights have non-finite components$"
+            with pytest.raises(ValueError, match=message):
+                LinearFilterState(w=np.zeros(2, dtype=complex), g=np.array([value, 0j]))
 
     @pytest.mark.parametrize("w", [np.zeros(2), [0j, 0j]], ids=["real-array", "list"])
     def test_weights_are_stored_as_complex_arrays(self, w):
@@ -1194,12 +1223,12 @@ class TestSnapshots:
             with pytest.raises(ValueError, match="snapshot coefficient 2 is not finite"):
                 restore_state(doc)
 
-    @pytest.mark.parametrize("name", ["w", "g"])
-    def test_non_finite_linear_weight_rejected(self, name):
+    @pytest.mark.parametrize("name, field", [("w", "weights"), ("g", "conjugate weights")], ids=["w", "g"])
+    def test_non_finite_linear_weight_rejected(self, name, field):
         """A non-finite weight would make every later prediction non-finite."""
         doc = snapshot_state(new_linear_state(3, widely_linear=True))
         doc[name][1] = [0.0, math.inf]
-        with pytest.raises(ValueError, match=f"snapshot {name} has non-finite components"):
+        with pytest.raises(ValueError, match=f"^snapshot: {field} have non-finite components$"):
             restore_state(doc)
 
     @pytest.mark.parametrize("iteration", ["7", -5, 2.0, True, None])
@@ -1207,8 +1236,8 @@ class TestSnapshots:
         """The iteration counter is refused unless it is a non-negative int."""
         doc = snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
         doc["iteration"] = iteration
-        if iteration == -5:
-            message = "snapshot iteration must be a non-negative integer"
+        if iteration == -5:  # refused by the state, at the snapshot's path
+            message = r"^snapshot: iteration must be nonnegative and finite, got -5$"
         else:  # a wrong type is refused by the document parser, at the field's path
             message = r"^snapshot\.iteration: expected int"
         with pytest.raises(ValueError, match=message):

@@ -45,6 +45,12 @@ class TestNumericGradient:
         with pytest.raises(ArithmeticError, match="non-finite"):
             numeric_wirtinger_gradient(lambda z: complex(np.nan), [0j])
 
+    @pytest.mark.parametrize("value", ["1+2j", b"1", None, [1.0, 2.0]], ids=["str", "bytes", "None", "list"])
+    def test_non_numeric_evaluation_raises_type_error(self, value):
+        """An evaluator value that is not one number is refused, not parsed or read as NaN."""
+        with pytest.raises(TypeError, match="^evaluator value must be"):
+            numeric_wirtinger_gradient(lambda z: value, [0.5])
+
     def test_empty_input_rejected(self):
         """Zero-length probe points are refused."""
         with pytest.raises(ValueError):
