@@ -1,22 +1,23 @@
-"""Per-step cost of the kernel LMS filter in both dictionary layouts.
+"""Per-step cost of the kernel LMS filter in both forms of the kernel row.
 
 Run with ``python3 demos/step_cost.py`` after installing the package (a few
 seconds at the default sizes). For each dictionary size ``m`` the script fills
-two dictionaries with the same ``m`` centers of dimension 6, one stored row by
-row and one column by column, and times ``cklms_step`` against each. The
-novelty threshold is set so high that no step admits, so every timed step
-sees a dictionary of exactly ``m`` centers. The two layouts are timed in
-alternating chunks and each cell is the median over chunks of the mean step
-time in a chunk, so a drift in the host's speed reaches both columns alike.
+a dictionary with ``m`` centers of dimension 6 and times ``cklms_step``
+against it in each form of the row, forced through the size switch
+``ckaf.kernels._GEMM_ROWS``. The novelty threshold is set so high that no step
+admits, so every timed step sees a dictionary of exactly ``m`` centers. The
+two forms are timed in alternating chunks and each cell is the median over
+chunks of the mean step time in a chunk, so a drift in the host's speed
+reaches both columns alike.
 
-The row-major step is the einsum product plus the complex ``exp``; the
-column-major step is the column passes plus the ``exp`` in the half-angle
-tangent form, a SIMD real ``exp`` and one SIMD ``tan`` per center in place
-of numpy's complex ``exp`` (see ``ckaf.kernels._split_conj_exp``). A dictionary
-switches from the first to the second when it admits center 1025; the last
-column says which one it uses at ``m``. ``OPENBLAS_NUM_THREADS`` (and the
-OpenMP and MKL counts) are set to 1 in this process before numpy is imported,
-so no BLAS thread runs beside the step.
+The einsum form is the ``einsum`` product plus numpy's complex ``exp``. The
+GEMM form is one real GEMM on the float64 view of the row-major centers plus
+the ``exp`` in the half-angle tangent form, a SIMD real ``exp`` and one SIMD
+``tan`` per center (see ``ckaf.kernels._split_conj_exp``). A row takes the
+einsum form up to ``_GEMM_ROWS`` centers and the GEMM form above; the last
+column says which one a dictionary of ``m`` centers uses.
+``OPENBLAS_NUM_THREADS`` (and the OpenMP and MKL counts) are set to 1 in this
+process before numpy is imported, so no BLAS thread runs beside the step.
 """
 
 import os
@@ -30,50 +31,46 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-import ckaf.filters  # noqa: E402
+import ckaf.kernels  # noqa: E402
 from ckaf.filters import NoveltyConfig, cklms_step, new_cklms_state  # noqa: E402
 from ckaf.kernels import complex_gaussian, self_kernel  # noqa: E402
 
 DIM = 6
 SIGMA = 5.0  # the bundled configuration's kernel width and amplitude
 AMPLITUDE = 0.7
+# the switch value that forces each form: no row is larger than 2**62 centers, every row is
+# larger than -1
+FORCING = {"einsum": 2**62, "GEMM": -1}
 
 
-def filled_state(points: np.ndarray, column_major: bool):
-    """A state whose dictionary holds ``points`` in the chosen layout and admits nothing more."""
-    spec = complex_gaussian(SIGMA)
-    state = new_cklms_state(spec, mu=0.5, novelty=NoveltyConfig(delta1=1e300))
-    switch = ckaf.filters._COLUMN_CAPACITY
-    # the capacity at which the dictionary stores its centers column by column
-    ckaf.filters._COLUMN_CAPACITY = 0 if column_major else 2**62
+def chunk_us(state, queries, targets, form: str) -> float:
+    """Mean microseconds per ``cklms_step`` over one chunk of queries, in the given row form."""
+    switch = ckaf.kernels._GEMM_ROWS
+    ckaf.kernels._GEMM_ROWS = FORCING[form]
     try:
-        for c in points:
-            state.dictionary.append(c, 0.1 + 0.1j, self_kernel(c, spec))
+        started = time.perf_counter()
+        for z, d in zip(queries, targets):
+            cklms_step(state, z, d)
+        return (time.perf_counter() - started) * 1e6 / len(queries)
     finally:
-        ckaf.filters._COLUMN_CAPACITY = switch
-    return state
-
-
-def chunk_us(state, queries, targets) -> float:
-    """Mean microseconds per ``cklms_step`` over one chunk of queries."""
-    started = time.perf_counter()
-    for z, d in zip(queries, targets):
-        cklms_step(state, z, d)
-    return (time.perf_counter() - started) * 1e6 / len(queries)
+        ckaf.kernels._GEMM_ROWS = switch
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[200, 1000, 1100, 1500, 2500, 5000])
-    parser.add_argument("--chunks", type=int, default=15, help="chunks per layout and size")
+    parser.add_argument(
+        "--sizes", type=int, nargs="+", default=[200, 300, 400, 500, 600, 800, 1000, 2500, 5000]
+    )
+    parser.add_argument("--chunks", type=int, default=15, help="chunks per form and size")
     parser.add_argument("--steps", type=int, default=200, help="steps per chunk")
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(2024)
+    spec = complex_gaussian(SIGMA)
     print(f"cklms_step per step, dimension {DIM}, sigma {SIGMA}, one BLAS thread; "
           f"median over {args.chunks} alternating chunks of {args.steps} steps")
     print()
-    print("| m | row-major | column-major | row-major / column-major | dictionary uses |")
+    print("| m | einsum + complex exp | GEMM + tangent form | einsum / GEMM | row uses |")
     print("| --- | --- | --- | --- | --- |")
     for m in args.sizes:
         points = AMPLITUDE * (
@@ -81,16 +78,18 @@ def main(argv=None) -> int:
         ) / np.sqrt(2.0)
         centers, queries = points[:m], points[m:]
         targets = AMPLITUDE * (rng.standard_normal(args.steps) + 1j * rng.standard_normal(args.steps))
-        states = {layout: filled_state(centers, layout == "column") for layout in ("row", "column")}
-        times = {layout: [] for layout in states}
+        state = new_cklms_state(spec, mu=0.5, novelty=NoveltyConfig(delta1=1e300))
+        for c in centers:
+            state.dictionary.append(c, 0.1 + 0.1j, self_kernel(c, spec))
+        times = {form: [] for form in FORCING}
         for k in range(args.chunks):
-            # alternate which layout goes first, so neither always follows the other
-            for layout in (("row", "column") if k % 2 == 0 else ("column", "row")):
-                times[layout].append(chunk_us(states[layout], queries, targets))
-        row = statistics.median(times["row"])
-        column = statistics.median(times["column"])
-        uses = "column-major" if m > ckaf.filters._COLUMN_CAPACITY // 2 else "row-major"
-        print(f"| {m} | {row:.1f} µs | {column:.1f} µs | {row / column:.2f}x | {uses} |")
+            # alternate which form goes first, so neither always follows the other
+            for form in (("einsum", "GEMM") if k % 2 == 0 else ("GEMM", "einsum")):
+                times[form].append(chunk_us(state, queries, targets, form))
+        small = statistics.median(times["einsum"])
+        large = statistics.median(times["GEMM"])
+        uses = "GEMM" if m > ckaf.kernels._GEMM_ROWS else "einsum"
+        print(f"| {m} | {small:.1f} µs | {large:.1f} µs | {small / large:.2f}x | {uses} |")
     return 0
 
 

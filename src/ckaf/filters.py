@@ -78,8 +78,6 @@ from ckaf.kernels import (
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
 
 _INITIAL_CAPACITY = 64
-# the capacity from which the centers are stored column by column (see ``Dictionary``)
-_COLUMN_CAPACITY = 2048
 
 
 class StepRecord(NamedTuple):
@@ -136,12 +134,9 @@ class Dictionary:
     read it. With the cached squares ``kernel_vector`` evaluates the kernel
     against every center with one matrix-vector product.
 
-    The centers are stored row by row while the capacity is below 2048, and
-    column by column from the doubling to 2048 on, which the admission of
-    center 1025 triggers: the kernel row is cheaper per center on contiguous
-    columns from about a thousand centers on and dearer at a few hundred. In
-    both layouts ``centers`` is a read-only (size, dim) view; past 1024
-    centers each of its columns is one contiguous run.
+    The centers are stored row by row at every size, so ``centers`` is a
+    read-only C-contiguous (size, dim) view, whose float64 view the kernel
+    row of a large dictionary multiplies in one real GEMM.
     """
 
     def __init__(self):
@@ -205,19 +200,9 @@ class Dictionary:
 
 
 def _new_buffers(capacity: int, dim: int) -> tuple:
-    """Uninitialized (centers, coefficients, self_kernels, squares) buffers.
-
-    The centers buffer is (capacity, dim) in both layouts: row-major below
-    ``_COLUMN_CAPACITY`` (2048, which the admission of center 1025 reaches),
-    and from it on the transpose of a row-major (dim, capacity) array, so
-    each center component is a contiguous run.
-    """
-    if capacity < _COLUMN_CAPACITY:
-        centers = np.empty((capacity, dim), dtype=np.complex128)
-    else:
-        centers = np.empty((dim, capacity), dtype=np.complex128).T
+    """Uninitialized (centers, coefficients, self_kernels, squares) buffers; centers row-major."""
     return (
-        centers,
+        np.empty((capacity, dim), dtype=np.complex128),
         np.empty(capacity, dtype=np.complex128),
         np.empty(capacity, dtype=np.float64),
         np.empty(capacity, dtype=np.complex128),
@@ -236,6 +221,9 @@ class CklmsState:
 
     def __post_init__(self):
         _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
+        # what a snapshot can hold: an int, never a bool
+        if not isinstance(self.iteration, int) or isinstance(self.iteration, bool):
+            raise TypeError(f"iteration must be an int, got {self.iteration!r}")
         _nonnegative_finite(self.iteration, "iteration")  # a negative count breaks the next step
 
 

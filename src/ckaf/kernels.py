@@ -26,16 +26,18 @@ when a center is admitted, and then gets the row in the expanded form
 ``z.z - 2 conj(c).z + conj(c).conj(c)`` of ``_factored_row``: one
 matrix-vector product over the stored centers plus one ``exp`` per center,
 where the difference form builds and reduces an (m, nu) array every step.
-The row follows the layout of the centers. A dictionary stores them row by
-row up to 1024 centers, and the row then takes an ``einsum`` product and
-the complex ``exp``. From center 1025 on the dictionary stores them column
-by column, and the row then sums the ``nu`` scaled columns and writes the
-complex Gaussian's ``exp`` in the half-angle tangent form: a real ``exp``
-of the exponent's real part and one ``tan`` of half its imaginary part,
-both of which numpy runs in SIMD, where the complex ``exp`` (like ``cos``
-and ``sin``) calls scalar libm per element. The column form is cheaper per
-center from about a thousand centers on and dearer at a few hundred; the
-two forms agree to rounding.
+The dictionary stores its centers row by row, and the row's size picks its
+form. Up to ``_GEMM_ROWS`` (512) centers the row takes an ``einsum`` product
+and the complex ``exp``. A larger row takes the product as one real GEMM on
+the float64 view of the centers and writes the complex Gaussian's ``exp``
+in the half-angle tangent form: a real ``exp`` of the exponent's real part
+and one ``tan`` of half its imaginary part, both of which numpy runs in
+SIMD, where the complex ``exp`` (like ``cos`` and ``sin``) calls scalar libm
+per element. The large form is cheaper per step from about 500 centers on
+and dearer at a few hundred; the two forms agree to rounding. The GEMM's
+last bits come from the BLAS library and the kernel it dispatches to, and
+the SIMD ``exp`` and ``tan`` from numpy's dispatch target, so byte-identical
+rows past 512 centers need the same numpy build, BLAS and CPU features.
 ``kernel_matrix`` and its views keep the difference form because the
 expanded form rounds differently: exact identities such as
 ``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
@@ -72,6 +74,10 @@ LINEAR = "linear"
 
 _FAMILIES = (COMPLEX_GAUSSIAN, REAL_GAUSSIAN, LINEAR)
 _COMPLEX = np.dtype(np.complex128)  # native complex128 arrays carry this very instance
+_ONE_I = np.array([1.0, 1j])  # v times it is (v, i v): the two GEMM columns of a row product
+# the largest row (in centers) that takes the einsum product and the complex exp; larger rows
+# take one real GEMM and the tangent-form exp (see ``_factored_row``)
+_GEMM_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -251,56 +257,48 @@ def _factored_row(
     the two differ at most in the sign of an exactly zero real or imaginary
     part, never in a value.
 
-    The arithmetic follows the layout of ``centers``, which is tested once.
-    Row-major centers (a dictionary's up to 1024 centers) get the ``einsum``
-    product and the complex ``exp``, the cheapest pair at a few hundred
-    centers. The product is not ``centers @ v``: matmul is a BLAS GEMV, which
-    OpenBLAS spreads over all cores from about a thousand centers on when its
-    thread count is not pinned, nearly doubling the CPU time of a step
-    without shortening it. Column-major centers (a dictionary's from center
-    1025 on) get ``_column_product`` and, for the complex Gaussian, the
-    tangent form of ``_split_conj_exp``, a pair that is cheaper per center
-    from about a thousand on. With ``sigma = 5`` the two forms of a row
-    differ by at most 1e-15 relative per kernel value (measured: 6.6e-16 on
-    unit-variance inputs, 9.5e-16 on the bundled experiment's data, at 1025
-    to 5000 centers).
+    The size of the row picks one of two forms. A row over at most
+    ``_GEMM_ROWS`` centers takes the ``einsum`` product and the complex
+    ``exp``, the cheaper pair at a few hundred centers. A larger row takes the
+    product as one real GEMM, ``(m, 2 nu) @ (2 nu, 2)``, on the float64 view of
+    the row-major centers, whose two output columns are the real and
+    imaginary parts of ``g``; for the complex Gaussian it then writes the
+    ``exp`` in the tangent form of ``_split_conj_exp``. Centers that are not
+    C-contiguous (Fortran-ordered ones, or a strided slice) are copied first,
+    since a Fortran-ordered array has no float64 view; a dictionary's centers
+    are C-contiguous and are never copied. With ``sigma = 5`` the two
+    forms of a row differ by at most 3e-15 relative per kernel value (measured:
+    6.8e-16 on unit-variance inputs, 1.0e-15 and 2.6e-15 on the bundled
+    circular and non-circular data, at 513 to 5000 centers).
+
+    OpenBLAS runs the GEMM on the calling thread unless ``m * nu`` is several
+    hundred thousand (at 20 000 centers of width 20 it takes a second core
+    when its thread count is not pinned); the einsum product never leaves it.
     """
     w = np.conj(z)
-    row_stride, column_stride = centers.strides  # one tuple read, cheaper than two
-    columns = row_stride < column_stride
-    if spec.family == COMPLEX_GAUSSIAN:
-        # the (m,) product is the only (m,) array: the exponent and its exp are computed in
-        # place in it
-        v = -2.0 * w
-        row = _column_product(centers, v) if columns else np.einsum("ij,j->i", centers, v)
-        row += np.add.reduce(w * w)
-        row += squares
-        scale = -1.0 / spec.sigma**2
-        if columns and _split_conj_exp(row, scale):
-            return row
-        row *= scale
-        np.exp(row, out=row)
-        return np.conjugate(row, out=row)
-    g = _column_product(centers, w) if columns else np.einsum("ij,j->i", centers, w)
+    # the complex Gaussian takes -2 g straight from the product with -2 w
+    v = -2.0 * w if spec.family == COMPLEX_GAUSSIAN else w
+    large = centers.shape[0] > _GEMM_ROWS
+    # the (m,) product is the only (m,) array: the exponent and its exp are computed in place
+    # in it
+    if large:
+        pair = np.multiply.outer(v, _ONE_I).view(np.float64).reshape(2 * v.shape[0], 2)
+        row = (np.ascontiguousarray(centers).view(np.float64) @ pair).view(_COMPLEX)[:, 0]
+    else:
+        row = np.einsum("ij,j->i", centers, v)
     if spec.family == LINEAR:
-        return np.conjugate(g, out=g)
-    x = z.real
-    return np.exp((x @ x - 2.0 * g.real + squares.real) / -spec.sigma**2)
-
-
-def _column_product(centers: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``centers @ v`` for column-major centers, as a fresh (m,) array.
-
-    The ``nu`` scaled columns are summed one in-place pass each, which streams
-    contiguous memory where ``einsum`` strides across the columns.
-    """
-    first, *rest = centers.T
-    out = first * v[0]
-    scaled = np.empty_like(out)
-    for column, factor in zip(rest, v[1:]):
-        np.multiply(column, factor, out=scaled)
-        out += scaled
-    return out
+        return np.conjugate(row, out=row)
+    if spec.family == REAL_GAUSSIAN:
+        x = z.real
+        return np.exp((x @ x - 2.0 * row.real + squares.real) / -spec.sigma**2)
+    row += np.add.reduce(w * w)
+    row += squares
+    scale = -1.0 / spec.sigma**2
+    if large and _split_conj_exp(row, scale):
+        return row
+    row *= scale
+    np.exp(row, out=row)
+    return np.conjugate(row, out=row)
 
 
 def _split_conj_exp(row: np.ndarray, scale: float) -> bool:

@@ -119,6 +119,12 @@ class TestEqualize:
             ),
             (1, "epsilon", "experiment.algorithms[1]: epsilon must be nonnegative and finite, got inf"),
         ],
+        ids=[
+            "signal.amplitude=nan", "channel.noise_stddev=nan", "algorithms[0].delta1=nan",
+            "algorithms[0].delta2=nan", "algorithms[1].epsilon=nan", "signal.amplitude=inf",
+            "channel.noise_stddev=inf", "algorithms[0].sigma=inf", "algorithms[0].delta1=inf",
+            "algorithms[0].delta2=inf", "algorithms[1].epsilon=inf",
+        ],
     )
     def test_nan_setting_exits_2_naming_its_path(self, capsys, tmp_path, section, field, message):
         """A NaN or infinite setting (JSON accepts the literals NaN and Infinity) is refused

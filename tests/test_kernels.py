@@ -212,7 +212,7 @@ class TestKernelVector:
             )
 
     def test_numpy_tan_is_within_two_ulp_of_libm(self):
-        """The column-major row's accuracy rests on numpy's SIMD ``tan``, so it is held
+        """The GEMM-form row's accuracy rests on numpy's SIMD ``tan``, so it is held
         to 2 ULP of ``math.tan`` for |y| from 1e-8 to 1e300 and next to odd multiples
         of pi/2, where ``tan`` reaches 1e16. A numpy build whose ``tan`` is coarser
         fails here before it moves a kernel row."""
