@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ckaf.kernels import _complex_array, _nonnegative_finite
+from ckaf.kernels import _as_pair, _as_vector, _complex_array, _nonnegative_finite
 
 DEFAULT_LINEAR_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_POLY_COEFFS = (0.1 + 0.15j, 0.06 + 0.05j)
@@ -112,9 +112,7 @@ def apply_channel(s, cfg: ChannelConfig) -> np.ndarray:
     before the start of the sequence are treated as zero. With
     ``noise_stddev = 0`` the map is a pure deterministic function.
     """
-    sv = _complex_array(s, "s")
-    if sv.ndim != 1 or sv.size == 0:
-        raise ValueError("input sequence must be a non-empty 1-D array")
+    sv = _as_vector(s, "s")
     taps = _complex_array(cfg.linear_taps, "linear_taps")
     t = np.convolve(sv, taps)[: sv.size]
     q = t.copy()
@@ -135,9 +133,7 @@ def build_dataset(r, s, cfg: EmbeddingConfig) -> Dataset:
     The pair for target index n is ((r(n+D), ..., r(n+D-L)), s(n)); n runs
     from max(0, L-D) through N-1-D so that every referenced sample exists.
     """
-    rv, sv = _complex_array(r, "r"), _complex_array(s, "s")
-    if rv.shape != sv.shape or rv.ndim != 1:
-        raise ValueError("received and source sequences must be 1-D and equal length")
+    rv, sv = _as_pair(r, s, names=("r", "s"))
     n_total = rv.size
     length, delay = cfg.filter_length, cfg.delay
     if n_total <= length + delay:

@@ -71,8 +71,8 @@ import numpy as np
 
 from ckaf.documents import ConfigError, echo, parse
 from ckaf.kernels import (
-    KernelSpec, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite, _positive_finite,
-    kernel_vector, self_kernel,
+    KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite,
+    _positive_finite, kernel_vector, self_kernel,
 )
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -242,13 +242,11 @@ class LinearFilterState:
 
     def __post_init__(self):
         _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
-        self.w = _as_vector(self.w, "weights")  # no input could step an empty or 2-D filter
-        if self.g is not None:
-            self.g = _complex_array(self.g, "conjugate weights")
-            if self.g.shape != self.w.shape:
-                raise ValueError(
-                    f"conjugate weights have shape {self.g.shape}, weights {self.w.shape}"
-                )
+        # no input could step an empty or 2-D filter
+        if self.g is None:
+            self.w = _as_vector(self.w, "weights")
+        else:
+            self.w, self.g = _as_pair(self.w, self.g, names=("weights", "conjugate weights"))
         # a non-finite weight makes every later prediction inf or NaN
         for name, weights in (("weights", self.w), ("conjugate weights", self.g)):
             if weights is not None and not np.isfinite(weights).all():
@@ -583,15 +581,18 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
 
 
 def _check_realization(inputs: np.ndarray, targets: np.ndarray, run: int) -> None:
-    """Raise FilterStepError at the first sample of one realization that is not finite."""
-    bad_input = ~np.isfinite(inputs).all(axis=-1)
-    bad_target = ~np.isfinite(targets)
-    bad = bad_input | bad_target
+    """Raise FilterStepError at the first sample of one realization that is not finite.
+
+    The error carries the message of the step's own sample check.
+    """
+    bad = ~(np.isfinite(inputs).all(axis=-1) & np.isfinite(targets))
     if bad.any():
         i = int(np.argmax(bad))
-        if bad_input[i]:
-            raise FilterStepError(i, "input vector has non-finite components", run=run)
-        raise FilterStepError(i, f"target value {targets[i]} is not finite", run=run)
+        try:
+            _as_sample_vector(inputs[i])
+            _as_target(targets[i])
+        except ArithmeticError as exc:
+            raise FilterStepError(i, str(exc), run=run) from exc
 
 
 @dataclass(frozen=True)

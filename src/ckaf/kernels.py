@@ -17,7 +17,13 @@ it on every step and it is O(nu).
 
 Caller data becomes complex samples in one place, ``_complex_array``: bool,
 integer, float and complex numbers are converted, and strings, bytes, None
-and object arrays raise TypeError naming the argument.
+and object arrays raise TypeError naming the argument. Shapes have three
+rules, each written once here and used by every module: one vector
+(``_as_vector``: 1-D with at least one component), one pair of vectors of
+equal length (``_as_pair``) and one pair of ``(n, nu)`` and ``(m, nu)`` row
+arrays with ``nu >= 1`` (``_as_rows``). The real family also requires zero
+imaginary parts. Every shape error is a ValueError that names the argument,
+and a length mismatch names both.
 
 ``kernel_matrix`` evaluates the Gaussian exponents in the difference form
 ``sum_i (z_i - conj(c_i))**2``. The kernel filter instead passes
@@ -162,6 +168,7 @@ def _nonnegative_finite(value, name: str) -> None:
 
 
 def _as_vector(z, name: str) -> np.ndarray:
+    """``z`` as a complex 1-D vector with at least one component: the one vector rule."""
     v = _complex_array(z, name)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(
@@ -170,17 +177,31 @@ def _as_vector(z, name: str) -> np.ndarray:
     return v
 
 
-def _as_pair(z, w, spec: KernelSpec, names=("z", "w")):
-    """Validated vectors of one dimension, real for the real family."""
-    zv, wv = _as_vector(z, names[0]), _as_vector(w, names[1])
-    if zv.shape != wv.shape:
+def _as_pair(z, w, spec: KernelSpec | None = None, names=("z", "w")):
+    """Two vectors of one length: the one pair rule; real for the real family."""
+    return _matched(_as_vector(z, names[0]), _as_vector(w, names[1]), spec, names)
+
+
+def _as_rows(Z, C, spec: KernelSpec | None = None, names=("Z", "C")):
+    """(n, nu) and (m, nu) complex arrays with nu >= 1: the one row-pair rule; n and m may be 0."""
+    pair = _complex_array(Z, names[0]), _complex_array(C, names[1])
+    for a, name in zip(pair, names):
+        if a.ndim != 2 or a.shape[1] == 0:
+            raise ValueError(f"{name} must be an (n, nu) array with nu >= 1, got shape {a.shape}")
+    return _matched(*pair, spec, names)
+
+
+def _matched(a: np.ndarray, b: np.ndarray, spec: KernelSpec | None, names):
+    """Refuse ``a`` and ``b`` unless their last axes agree and, for the real family, are real."""
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(
-            f"dimension mismatch: {zv.shape[0]} vs {wv.shape[0]} components"
+            f"dimension mismatch: {a.shape[-1]} components in {names[0]}, "
+            f"{b.shape[-1]} in {names[1]}"
         )
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(zv, names[0])
-        _require_real(wv, names[1])
-    return zv, wv
+    if spec is not None and spec.family == REAL_GAUSSIAN:
+        _require_real(a, names[0])
+        _require_real(b, names[1])
+    return a, b
 
 
 def _require_real(v: np.ndarray, name: str):
@@ -210,16 +231,7 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
         Complex dtype for the complex-Gaussian and linear families, float
         for the real family, whose inputs must have zero imaginary parts.
     """
-    Zm, Cm = _complex_array(Z, "Z"), _complex_array(C, "C")
-    if Zm.ndim != 2 or Cm.ndim != 2 or Zm.shape[1] != Cm.shape[1] or Zm.shape[1] == 0:
-        raise ValueError(
-            "Z and C must be (n, nu) and (m, nu) arrays with nu >= 1, "
-            f"got shapes {Zm.shape} and {Cm.shape}"
-        )
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(Zm, "Z")
-        _require_real(Cm, "C")
-    return _difference_form(Zm, Cm, spec)
+    return _difference_form(*_as_rows(Z, C, spec), spec)
 
 
 def _difference_form(Zm: np.ndarray, Cm: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -474,10 +486,9 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
     if p.ndim == 1:
         # a flat sequence is read as N scalar points in C^1
         p = p[:, None]
-    if p.ndim != 2 or p.shape[0] == 0 or p.shape[1] == 0:
-        raise ValueError("points must be a non-empty (N, nu) collection")
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(p, "points")
+    p, _ = _as_rows(p, p, spec, ("points", "points"))
+    if p.shape[0] == 0:
+        raise ValueError(f"points must be non-empty, got shape {p.shape}")
     return _difference_form(p, p, spec)
 
 
@@ -491,11 +502,14 @@ def is_positive_semidefinite(K, tol: float = 1e-10) -> bool:
     Raises
     ------
     ValueError
-        If ``K`` is not square or not Hermitian to within 1e-12.
+        If ``K`` is not square, has a non-finite entry (whose trace would
+        make the bound infinite or NaN), or is not Hermitian to within 1e-12.
     """
     M = np.asarray(K)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     if not np.allclose(M, np.conj(M).T, rtol=1e-12, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
     eigenvalues = np.linalg.eigvalsh(M)
@@ -511,11 +525,12 @@ def rkhs_distance_sq(z, c, spec: KernelSpec) -> float:
         kappa(z, z) + kappa(c, c) - 2 * Re kappa(c, z)
 
     and clamps tiny negative rounding results to zero, so callers comparing
-    against a novelty threshold never see a spurious negative. The square
-    root is left to the caller: ``cklms_step`` evaluates the same expansion
-    against every center and compares the distance to the nearest one,
-    ``sqrt(max(min_k d2_k, 0))`` with ``d2_k`` the unclamped squared distance
-    to center ``k``, with ``delta1``.
+    against a novelty threshold never see a spurious negative; a NaN (from
+    an overflowing kernel) stays NaN. The square root is left to the caller:
+    ``cklms_step`` evaluates the same expansion against every center and
+    compares the distance to the nearest one, ``sqrt(max(min_k d2_k, 0))``
+    with ``d2_k`` the unclamped squared distance to center ``k``, with
+    ``delta1``.
     """
     zv, cv = _as_pair(z, c, spec, ("z", "c"))
     value = (
@@ -523,4 +538,4 @@ def rkhs_distance_sq(z, c, spec: KernelSpec) -> float:
         + _self_value(cv, spec)
         - 2.0 * _difference_form(cv[None], zv[None], spec)[0, 0].real
     )
-    return max(0.0, float(value))
+    return max(float(value), 0.0)  # max keeps its first argument when it is NaN

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ckaf.kernels import _as_vector, _complex_array, _complex_scalar
+from ckaf.kernels import _as_pair, _as_vector, _complex_scalar, _positive_finite
 
 DEFAULT_STEP = 1e-5
 
@@ -68,9 +68,10 @@ def numeric_wirtinger_gradient(
     functionals at double precision.
 
     Raises ArithmeticError if the evaluator returns a non-finite value at any
-    probe point.
+    probe point, and ValueError unless ``step`` is positive and finite.
     """
     zv = _as_vector(z, "z")
+    _positive_finite(step, "step")
     nu = zv.shape[0]
     r = np.empty(nu, dtype=np.complex128)
     conj_r = np.empty(nu, dtype=np.complex128)
@@ -97,9 +98,7 @@ def check_inner_product_gradients(w, probe, step: float = DEFAULT_STEP) -> float
     each evaluated numerically at ``probe``; the return value is the largest
     componentwise absolute error across all eight gradient vectors.
     """
-    wv, pv = _complex_array(w, "w"), _complex_array(probe, "probe")
-    if wv.shape != pv.shape:
-        raise ValueError("w and probe must have matching shapes")
+    wv, pv = _as_pair(w, probe, names=("w", "probe"))
     zeros = np.zeros_like(wv)
     cases = [
         (lambda f: np.sum(f * np.conj(wv)), np.conj(wv), zeros),
@@ -130,9 +129,7 @@ def check_taylor_first_order(
     correction terms are conjugates, so the prediction increment reduces to
     ``2 Re <h, conj(c)-slot form>``; no special casing is needed.
     """
-    zv, hv = _complex_array(z, "z"), _complex_array(h, "h")
-    if zv.shape != hv.shape:
-        raise ValueError("z and h must have matching shapes")
+    zv, hv = _as_pair(z, h, names=("z", "h"))
     g = numeric_wirtinger_gradient(func, zv, step)
     predicted = (
         _evaluate(func, zv)
@@ -158,9 +155,13 @@ def check_steepest_ascent(
     increase of Re T.
 
     Raises ValueError when the conjugate gradient vanishes at z, since no
-    ascent direction is then defined.
+    ascent direction is then defined, when ``n_directions`` is below 1 and
+    unless ``step`` is positive and finite.
     """
-    zv = _complex_array(z, "z")
+    zv = _as_vector(z, "z")
+    _positive_finite(step, "step")  # min(step, DEFAULT_STEP) below would let inf through
+    if n_directions < 1:  # with no random direction the check would pass without a comparison
+        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
     gen = np.random.default_rng(rng)
     g = numeric_wirtinger_gradient(func, zv, min(step, DEFAULT_STEP)).conj_r_derivative
     norm = float(np.linalg.norm(g))
@@ -187,11 +188,12 @@ def squared_error_loss(phi, d) -> Callable[[np.ndarray], complex]:
     update direction. See analytic_squared_error_gradients for the closed
     form used as the test oracle.
     """
-    phiv = _complex_array(phi, "phi")
+    phiv = _as_vector(phi, "phi")
     dval = _complex_scalar(d, "d")
 
     def loss(w):
-        e = dval - np.sum(phiv * np.conj(_complex_array(w, "w")))
+        _, wv = _as_pair(phiv, w, names=("phi", "w"))
+        e = dval - np.sum(phiv * np.conj(wv))
         return complex(abs(e) ** 2)
 
     return loss
@@ -203,7 +205,7 @@ def analytic_squared_error_gradients(phi, d, w):
     Returns (error, r_derivative, conj_r_derivative) where the gradients are
     ``-e * conj(phi)`` and ``-conj(e) * phi``.
     """
-    phiv, wv = _complex_array(phi, "phi"), _complex_array(w, "w")
+    phiv, wv = _as_pair(phi, w, names=("phi", "w"))
     e = _complex_scalar(d, "d") - np.sum(phiv * np.conj(wv))
     return e, -e * np.conj(phiv), -np.conj(e) * phiv
 

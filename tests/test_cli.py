@@ -216,6 +216,28 @@ class TestVerificationCommands:
         assert main(["verify-kernel", "--n-points", "10", "--sigma", "1.0"]) == 0
         assert "PASS Gram positive semidefinite" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "sigma, failed",
+        [
+            # the real Gaussian underflows to 0, so the relative gap is 0/0
+            ("0.2", ["real-input restriction"]),
+            # the complex Gaussian also overflows: the Gram matrix holds inf
+            ("0.05", [
+                "Hermitian symmetry", "Gram positive semidefinite", "real-input restriction",
+                "distance symmetry",
+            ]),
+        ],
+    )
+    def test_verify_kernel_fails_on_non_finite_values(self, capsys, sigma, failed):
+        """A width at which kernel values overflow or underflow fails the checks it breaks,
+        through the summary line and exit status 1, without a traceback or a NaN read as a
+        pass."""
+        assert main(["verify-kernel", "--sigma", sigma]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail_lines = [line.split(":")[0] for line in lines if line.startswith("FAIL ")]
+        assert fail_lines == [f"FAIL {name}" for name in failed]
+        assert lines[-1] == f"{len(failed)} check(s) failed: {', '.join(failed)}"
+
     def test_verify_kernel_rejects_bad_flags(self, capsys):
         """Nonsensical verification parameters exit nonzero."""
         assert main(["verify-kernel", "--n-points", "1"]) == 2

@@ -26,7 +26,14 @@ from ckaf.kernels import (
     rkhs_distance_sq,
     self_kernel,
 )
-from ckaf.wirtinger import numeric_wirtinger_gradient
+from ckaf.wirtinger import (
+    analytic_squared_error_gradients,
+    check_inner_product_gradients,
+    check_steepest_ascent,
+    check_taylor_first_order,
+    numeric_wirtinger_gradient,
+    squared_error_loss,
+)
 
 # Values below were frozen from 40-digit evaluation of the closed forms.
 EXP_ONE = 2.718281828459045
@@ -288,14 +295,15 @@ class TestKernelMatrix:
         assert rkhs_distance_sq(z, w, spec) == pytest.approx(rkhs_distance_sq(w, z, spec), abs=1e-14)
 
     def test_shape_validation(self):
-        """Mismatched widths, wrong ranks and zero-width points are refused."""
+        """Mismatched widths, wrong ranks and zero-width points are refused, naming the array."""
         spec = complex_gaussian(1.0)
-        for Z, C in (
-            (np.zeros((1, 2)), np.zeros((3, 3))),
-            (np.zeros(2), np.zeros((3, 2))),
-            (np.zeros((1, 0)), np.zeros((3, 0))),
+        for Z, C, message in (
+            (np.zeros((1, 2)), np.zeros((3, 3)), r"dimension mismatch: 2 components in Z, 3 in C"),
+            (np.zeros(2), np.zeros((3, 2)), r"Z must be an \(n, nu\) array with nu >= 1"),
+            (np.zeros((1, 0)), np.zeros((3, 0)), r"Z must be an \(n, nu\) array with nu >= 1"),
+            (np.zeros((1, 2)), np.zeros(2), r"C must be an \(n, nu\) array with nu >= 1"),
         ):
-            with pytest.raises(ValueError, match="nu"):
+            with pytest.raises(ValueError, match=f"^{message}"):
                 kernel_matrix(Z, C, spec)
 
     def test_real_family_rejects_complex_input(self):
@@ -399,6 +407,20 @@ class TestIsPositiveSemidefinite:
         with pytest.raises(ValueError, match="square"):
             is_positive_semidefinite(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "K",
+        [
+            [[math.inf]], [[math.nan]], [[1.0, math.inf], [math.inf, 1.0]],
+            [[1.0, 0.0], [0.0, -math.inf]],
+        ],
+        ids=["inf", "nan", "inf-off-diagonal", "minus-inf-diagonal"],
+    )
+    def test_non_finite_rejected(self, K):
+        """A non-finite entry is refused before any test: with it the trace-scaled bound is
+        -inf or NaN, and [[inf]] would pass."""
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            is_positive_semidefinite(np.array(K))
+
 
 class TestRkhsDistanceSq:
     def test_coincident_points(self):
@@ -444,6 +466,12 @@ class TestRkhsDistanceSq:
         with pytest.raises(ValueError, match="mismatch"):
             rkhs_distance_sq([1j], [1j, 0], complex_gaussian(1.0))
 
+    def test_overflowing_kernel_gives_nan_not_zero(self):
+        """When the self-kernels overflow, inf + inf - 2 inf is NaN and stays NaN: the clamp to
+        zero covers rounding below zero only, so a failed evaluation never reads as coincident."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(rkhs_distance_sq([30j], [30j], complex_gaussian(1.0)))
+
 
 _SPEC = complex_gaussian(1.0)
 _Z = np.array([0.1 + 0.2j, -0.3j])
@@ -453,31 +481,79 @@ _NON_NUMERIC = {
     "None": None,
     "object": np.array([0.1, 0.2j], dtype=object),
 }
-# each entry: the argument name the error must carry, and a call taking the bad value there
+_ROW = _Z[None]  # a (1, 2) array where a vector belongs
+_LONG = np.ones(3)  # a vector one component longer than _Z
+_WIDE = np.ones((1, 3))  # a row array one column wider than _Z[None]
+
+
+def _modulus_sq(v):
+    return complex(np.vdot(v, v).real)
+
+
+# each entry: the argument name the error must carry, a call taking the bad value there, a
+# value of the wrong rank, and a value whose length does not match the call's other argument
+# (None where the call has no such pairing)
 _ENTRIES = {
-    "kernel_value.z": ("z", lambda x: kernel_value(x, _Z, _SPEC)),
-    "kernel_value.w": ("w", lambda x: kernel_value(_Z, x, _SPEC)),
-    "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC)),
-    "kernel_vector.centers": ("centers", lambda x: kernel_vector(_Z, x, _SPEC)),
-    "kernel_vector.squares": ("squares", lambda x: kernel_vector(_Z, _Z[None], _SPEC, x)),
-    "kernel_matrix.Z": ("Z", lambda x: kernel_matrix(x, _Z[None], _SPEC)),
-    "kernel_matrix.C": ("C", lambda x: kernel_matrix(_Z[None], x, _SPEC)),
-    "gram": ("points", lambda x: gram(x, _SPEC)),
-    "self_kernel": ("z", lambda x: self_kernel(x, _SPEC)),
-    "rkhs_distance_sq.z": ("z", lambda x: rkhs_distance_sq(x, _Z, _SPEC)),
-    "rkhs_distance_sq.c": ("c", lambda x: rkhs_distance_sq(_Z, x, _SPEC)),
+    "kernel_value.z": ("z", lambda x: kernel_value(x, _Z, _SPEC), _ROW, _LONG),
+    "kernel_value.w": ("w", lambda x: kernel_value(_Z, x, _SPEC), _ROW, _LONG),
+    # a z of the wrong length is reported on the centers, kernel_vector's own check
+    "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC), _ROW, None),
+    "kernel_vector.centers": ("centers", lambda x: kernel_vector(_Z, x, _SPEC), _Z, _WIDE),
+    "kernel_vector.squares": (
+        "squares", lambda x: kernel_vector(_Z, _Z[None], _SPEC, x), _ROW, _LONG
+    ),
+    "kernel_matrix.Z": ("Z", lambda x: kernel_matrix(x, _Z[None], _SPEC), _Z, _WIDE),
+    "kernel_matrix.C": ("C", lambda x: kernel_matrix(_Z[None], x, _SPEC), _Z, _WIDE),
+    "gram": ("points", lambda x: gram(x, _SPEC), np.ones((1, 1, 2)), None),
+    "self_kernel": ("z", lambda x: self_kernel(x, _SPEC), _ROW, None),
+    "rkhs_distance_sq.z": ("z", lambda x: rkhs_distance_sq(x, _Z, _SPEC), _ROW, _LONG),
+    "rkhs_distance_sq.c": ("c", lambda x: rkhs_distance_sq(_Z, x, _SPEC), _ROW, _LONG),
     "run_block.inputs": (
-        "inputs", lambda x: run_block(x, np.zeros((1, 2)), "nclms", LinearLmsConfig(0.1))
+        "inputs", lambda x: run_block(x, np.zeros((1, 2)), "nclms", LinearLmsConfig(0.1)),
+        np.zeros((1, 2)), np.zeros((1, 3, 1)),
     ),
     "run_block.targets": (
-        "targets", lambda x: run_block(_Z[None, :, None], x, "nclms", LinearLmsConfig(0.1))
+        "targets", lambda x: run_block(_Z[None, :, None], x, "nclms", LinearLmsConfig(0.1)),
+        _Z, np.zeros((1, 3)),
     ),
-    "LinearFilterState.w": ("weights", lambda x: LinearFilterState(w=x)),
-    "apply_channel": ("s", lambda x: apply_channel(x, ChannelConfig())),
-    "build_dataset.r": ("r", lambda x: build_dataset(x, np.zeros(2), EmbeddingConfig(1, 0))),
-    "build_dataset.s": ("s", lambda x: build_dataset(np.zeros(2), x, EmbeddingConfig(1, 0))),
-    "numeric_wirtinger_gradient": ("z", lambda x: numeric_wirtinger_gradient(np.sum, x)),
+    "LinearFilterState.w": ("weights", lambda x: LinearFilterState(w=x), _ROW, None),
+    "LinearFilterState.g": (
+        "conjugate weights", lambda x: LinearFilterState(w=_Z.copy(), g=x), _ROW, _LONG
+    ),
+    "apply_channel": ("s", lambda x: apply_channel(x, ChannelConfig()), _ROW, None),
+    "build_dataset.r": (
+        "r", lambda x: build_dataset(x, np.zeros(2), EmbeddingConfig(1, 0)), _ROW, _LONG
+    ),
+    "build_dataset.s": (
+        "s", lambda x: build_dataset(np.zeros(2), x, EmbeddingConfig(1, 0)), _ROW, _LONG
+    ),
+    "numeric_wirtinger_gradient": (
+        "z", lambda x: numeric_wirtinger_gradient(np.sum, x), _ROW, None
+    ),
+    "check_inner_product_gradients.w": (
+        "w", lambda x: check_inner_product_gradients(x, _Z), _ROW, _LONG
+    ),
+    "check_inner_product_gradients.probe": (
+        "probe", lambda x: check_inner_product_gradients(_Z, x), _ROW, _LONG
+    ),
+    "check_taylor_first_order.z": (
+        "z", lambda x: check_taylor_first_order(np.sum, x, _Z), _ROW, _LONG
+    ),
+    "check_taylor_first_order.h": (
+        "h", lambda x: check_taylor_first_order(np.sum, _Z, x), _ROW, _LONG
+    ),
+    "check_steepest_ascent": ("z", lambda x: check_steepest_ascent(_modulus_sq, x), _ROW, None),
+    "squared_error_loss.phi": ("phi", lambda x: squared_error_loss(x, 0.5)(_Z), _ROW, _LONG),
+    "squared_error_loss.w": ("w", lambda x: squared_error_loss(_Z, 0.5)(x), _ROW, _LONG),
+    "analytic_squared_error_gradients.phi": (
+        "phi", lambda x: analytic_squared_error_gradients(x, 0.5, _Z), _ROW, _LONG
+    ),
+    "analytic_squared_error_gradients.w": (
+        "w", lambda x: analytic_squared_error_gradients(_Z, 0.5, x), _ROW, _LONG
+    ),
 }
+# None is the default of these arguments: no cached squares, and an nclms state
+_NONE_IS_DEFAULT = {"kernel_vector.squares", "LinearFilterState.g"}
 
 
 class TestComplexInput:
@@ -487,14 +563,13 @@ class TestComplexInput:
             pytest.param(entry, value, id=f"{call}-{kind}")
             for call, entry in _ENTRIES.items()
             for kind, value in _NON_NUMERIC.items()
-            # squares=None is the default: no cached squares, the difference form
-            if (call, kind) != ("kernel_vector.squares", "None")
+            if not (call in _NONE_IS_DEFAULT and kind == "None")
         ],
     )
     def test_non_numeric_input_raises_type_error(self, entry, value):
         """Strings, bytes, None and object arrays are not parsed or turned into NaN: every
         public entry that takes caller samples raises TypeError naming the argument."""
-        name, call = entry
+        name, call, _, _ = entry
         with pytest.raises(TypeError, match=f"^{name} must be numeric, got dtype"):
             call(value)
 
@@ -506,3 +581,29 @@ class TestComplexInput:
         expected = kernel_value(x.astype(np.complex128), _Z, _SPEC)
         assert kernel_value(x, _Z, _SPEC) == expected
         assert kernel_value(x.tolist(), _Z, _SPEC) == expected
+
+
+class TestShapeRules:
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            pytest.param(entry, value, id=f"{call}-{kind}")
+            for call, entry in _ENTRIES.items()
+            for kind, value in zip(("rank", "length"), entry[2:])
+            if value is not None
+        ],
+    )
+    def test_shape_error_names_its_argument(self, entry, value):
+        """A value of the wrong rank, or one whose length does not match the argument it pairs
+        with, raises ValueError naming the argument: nothing broadcasts."""
+        name, call, _, _ = entry
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call(value)
+
+    def test_squared_error_loss_does_not_broadcast(self):
+        """|d - <phi, w>|^2 is defined only for phi and w of one length; a length-1 w used to
+        broadcast against a longer phi and give a loss and gradients anyway."""
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 components in phi, 1 in w$"):
+            analytic_squared_error_gradients([1, 2], 0.5, [1j])
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 components in phi, 1 in w$"):
+            squared_error_loss([1, 2], 0.5)([1j])

@@ -1,5 +1,7 @@
 """Unit tests for the numerical Wirtinger-calculus checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,18 @@ class TestNumericGradient:
         """Zero-length probe points are refused."""
         with pytest.raises(ValueError):
             numeric_wirtinger_gradient(lambda z: 0j, [])
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        """A zero step divided by zero; a negative, NaN or infinite one is no probe either.
+        The two checks that take a step pass it on and refuse it the same way."""
+        message = f"^step must be positive and finite, got {step}$"
+        with pytest.raises(ValueError, match=message):
+            numeric_wirtinger_gradient(np.sum, [0.5], step=step)
+        with pytest.raises(ValueError, match=message):
+            check_inner_product_gradients([1.0], [0.5], step=step)
+        with pytest.raises(ValueError, match=message):
+            check_taylor_first_order(np.sum, [0.5], [1e-4], step=step)
 
 
 class TestBatteryCharacter:
@@ -195,6 +209,21 @@ class TestSteepestAscent:
         """A vanishing conjugate gradient has no ascent direction."""
         with pytest.raises(ValueError, match="gradient"):
             check_steepest_ascent(lambda v: complex(np.vdot(v, v).real), [0j], rng=5)
+
+    @pytest.mark.parametrize("n_directions", [0, -5])
+    def test_no_random_direction_rejected(self, n_directions):
+        """With no random direction to beat the check would pass without a comparison."""
+        message = f"^n_directions must be at least 1, got {n_directions}$"
+        with pytest.raises(ValueError, match=message):
+            check_steepest_ascent(
+                lambda v: complex(np.sum(v.real)), [0.3j], n_directions=n_directions
+            )
+
+    @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        """The move along each direction must be a positive finite length."""
+        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
+            check_steepest_ascent(lambda v: complex(np.sum(v.real)), [0.3j], step=step)
 
 
 class TestSquaredErrorLossGradient:
