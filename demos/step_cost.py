@@ -4,18 +4,20 @@ Run with ``python3 demos/step_cost.py`` after installing the package (a few
 seconds at the default sizes). For each dictionary size ``m`` the script fills
 a dictionary with ``m`` centers of dimension 6 and times ``cklms_step``
 against it in each form of the row, forced through the size switch
-``ckaf.kernels._GEMM_ROWS``. The novelty threshold is set so high that no step
+``ckaf.kernels._GEMV_ENTRIES``. The novelty threshold is set so high that no step
 admits, so every timed step sees a dictionary of exactly ``m`` centers. The
 two forms are timed in alternating chunks and each cell is the median over
 chunks of the mean step time in a chunk, so a drift in the host's speed
 reaches both columns alike.
 
-The einsum form is the ``einsum`` product plus numpy's complex ``exp``. The
-GEMM form is one real GEMM on the float64 view of the row-major centers plus
-the ``exp`` in the half-angle tangent form, a SIMD real ``exp`` and one SIMD
-``tan`` per center (see ``ckaf.kernels._split_conj_exp``). A row takes the
-einsum form up to ``_GEMM_ROWS`` centers and the GEMM form above; the last
-column says which one a dictionary of ``m`` centers uses.
+The GEMV form is one complex GEMV, ``centers @ v``, plus numpy's complex
+``exp``. The GEMM form is one real GEMM on the float64 view of the row-major
+centers plus the ``exp`` in the half-angle tangent form, a SIMD real ``exp``
+and one SIMD ``tan`` per center (see ``ckaf.kernels._split_conj_exp``). A row
+of fewer than ``_GEMV_ENTRIES`` entries (``m`` times the dimension) takes the
+GEMV form and a larger one the GEMM form; the last column says which one a
+dictionary of ``m`` centers uses. The switch sits where an unpinned OpenBLAS
+starts a second zgemv thread, not at the speed crossover this table shows.
 ``OPENBLAS_NUM_THREADS`` (and the OpenMP and MKL counts) are set to 1 in this
 process before numpy is imported, so no BLAS thread runs beside the step.
 """
@@ -38,22 +40,22 @@ from ckaf.kernels import complex_gaussian, self_kernel  # noqa: E402
 DIM = 6
 SIGMA = 5.0  # the bundled configuration's kernel width and amplitude
 AMPLITUDE = 0.7
-# the switch value that forces each form: no row is larger than 2**62 centers, every row is
-# larger than -1
-FORCING = {"einsum": 2**62, "GEMM": -1}
+# the switch value that forces each form: every row has fewer than 2**62 entries, none has
+# fewer than 0
+FORCING = {"GEMV": 2**62, "GEMM": 0}
 
 
 def chunk_us(state, queries, targets, form: str) -> float:
     """Mean microseconds per ``cklms_step`` over one chunk of queries, in the given row form."""
-    switch = ckaf.kernels._GEMM_ROWS
-    ckaf.kernels._GEMM_ROWS = FORCING[form]
+    switch = ckaf.kernels._GEMV_ENTRIES
+    ckaf.kernels._GEMV_ENTRIES = FORCING[form]
     try:
         started = time.perf_counter()
         for z, d in zip(queries, targets):
             cklms_step(state, z, d)
         return (time.perf_counter() - started) * 1e6 / len(queries)
     finally:
-        ckaf.kernels._GEMM_ROWS = switch
+        ckaf.kernels._GEMV_ENTRIES = switch
 
 
 def main(argv=None) -> int:
@@ -70,7 +72,7 @@ def main(argv=None) -> int:
     print(f"cklms_step per step, dimension {DIM}, sigma {SIGMA}, one BLAS thread; "
           f"median over {args.chunks} alternating chunks of {args.steps} steps")
     print()
-    print("| m | einsum + complex exp | GEMM + tangent form | einsum / GEMM | row uses |")
+    print("| m | GEMV + complex exp | GEMM + tangent form | GEMV / GEMM | row uses |")
     print("| --- | --- | --- | --- | --- |")
     for m in args.sizes:
         points = AMPLITUDE * (
@@ -84,11 +86,11 @@ def main(argv=None) -> int:
         times = {form: [] for form in FORCING}
         for k in range(args.chunks):
             # alternate which form goes first, so neither always follows the other
-            for form in (("einsum", "GEMM") if k % 2 == 0 else ("GEMM", "einsum")):
+            for form in (("GEMV", "GEMM") if k % 2 == 0 else ("GEMM", "GEMV")):
                 times[form].append(chunk_us(state, queries, targets, form))
-        small = statistics.median(times["einsum"])
+        small = statistics.median(times["GEMV"])
         large = statistics.median(times["GEMM"])
-        uses = "GEMM" if m > ckaf.kernels._GEMM_ROWS else "einsum"
+        uses = "GEMV" if m * DIM < ckaf.kernels._GEMV_ENTRIES else "GEMM"
         print(f"| {m} | {small:.1f} µs | {large:.1f} µs | {small / large:.2f}x | {uses} |")
     return 0
 

@@ -256,13 +256,17 @@ def _cmd_verify_kernel(args) -> int:
         f"{detail} over {n} points at sigma {args.sigma}", failures,
     )
 
-    real_points = rng.standard_normal((n, 6))
-    real_val = kernel_matrix(real_points, real_points, real_gaussian(args.sigma))
-    gap = np.abs(kernel_matrix(real_points, real_points, spec) - real_val) / np.abs(real_val)
-    worst_restriction = float(np.max(gap))
+    # on real points x: exp(-a) carries the rounding of its exponent a, a relative error that
+    # grows like a * eps, so the gap is measured relative to max(1, a); the floor at the smallest
+    # normal value makes entries that underflow alike (to 0.0 or a subnormal) agree, not 0/0
+    x = rng.standard_normal((n, 6))
+    real_val = kernel_matrix(x, x, real_gaussian(args.sigma))
+    exponent = np.add.reduce((x[:, None] - x) ** 2, axis=-1) / args.sigma**2
+    scale = np.maximum(np.abs(real_val), np.finfo(float).tiny) * np.maximum(exponent, 1.0)
+    worst_restriction = float(np.max(np.abs(kernel_matrix(x, x, spec) - real_val) / scale))
     _check(
         "real-input restriction", worst_restriction <= RESTRICTION_TOLERANCE,
-        f"max relative gap {worst_restriction:.3e} against the real Gaussian kernel", failures,
+        f"max relative gap per unit exponent {worst_restriction:.3e} to the real kernel", failures,
     )
 
     gaps = [

@@ -318,9 +318,11 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         kvec = kernel_vector(zv, centers, state.kernel, squares)
         prediction = complex(np.dot(coefficients, kvec))
         error = dv - prediction
-        distance_sq = kzz + self_kernels
-        distance_sq -= 2.0 * kvec.real
-        dis = math.sqrt(max(float(np.minimum.reduce(distance_sq)), 0.0))
+        # the squared distance to center k is kzz + (self_kernels[k] - 2 Re kvec[k]); rounding
+        # is monotone, so kzz is added once, to the minimum, in three passes over the row
+        distance_sq = np.multiply(kvec.real, -2.0)
+        distance_sq += self_kernels
+        dis = math.sqrt(max(kzz + float(np.minimum.reduce(distance_sq)), 0.0))
         novel = dis >= state.novelty.delta1 and _modulus(error) >= state.novelty.delta2
     coefficient = state.mu * error
     # novelty criterion; finiteness is tested explicitly because every comparison with NaN

@@ -33,17 +33,19 @@ when a center is admitted, and then gets the row in the expanded form
 matrix-vector product over the stored centers plus one ``exp`` per center,
 where the difference form builds and reduces an (m, nu) array every step.
 The dictionary stores its centers row by row, and the row's size picks its
-form. Up to ``_GEMM_ROWS`` (512) centers the row takes an ``einsum`` product
-and the complex ``exp``. A larger row takes the product as one real GEMM on
-the float64 view of the centers and writes the complex Gaussian's ``exp``
-in the half-angle tangent form: a real ``exp`` of the exponent's real part
-and one ``tan`` of half its imaginary part, both of which numpy runs in
-SIMD, where the complex ``exp`` (like ``cos`` and ``sin``) calls scalar libm
-per element. The large form is cheaper per step from about 500 centers on
-and dearer at a few hundred; the two forms agree to rounding. The GEMM's
-last bits come from the BLAS library and the kernel it dispatches to, and
-the SIMD ``exp`` and ``tan`` from numpy's dispatch target, so byte-identical
-rows past 512 centers need the same numpy build, BLAS and CPU features.
+form. A row of fewer than ``_GEMV_ENTRIES`` (4096) entries ``m * nu`` takes
+the product as one complex GEMV, ``centers @ v``, and the complex ``exp``. A
+larger row takes the product as one real GEMM on the float64 view of the
+centers and writes the complex Gaussian's ``exp`` in the half-angle tangent
+form: a real ``exp`` of the exponent's real part and one ``tan`` of half its
+imaginary part, both of which numpy runs in SIMD, where the complex ``exp``
+(like ``cos`` and ``sin``) calls scalar libm per element. The bound is set by
+BLAS threading, not by speed: with its thread count unpinned, OpenBLAS runs
+zgemv on a second thread from 4096 entries on, which makes the call slower and
+burns a second core. The two forms agree to rounding. The products' last bits come from the
+BLAS library and the kernel it dispatches to, and the SIMD ``exp`` and
+``tan`` from numpy's dispatch target, so byte-identical rows need the same
+numpy build, BLAS and CPU features.
 ``kernel_matrix`` and its views keep the difference form because the
 expanded form rounds differently: exact identities such as
 ``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
@@ -81,9 +83,9 @@ LINEAR = "linear"
 _FAMILIES = (COMPLEX_GAUSSIAN, REAL_GAUSSIAN, LINEAR)
 _COMPLEX = np.dtype(np.complex128)  # native complex128 arrays carry this very instance
 _ONE_I = np.array([1.0, 1j])  # v times it is (v, i v): the two GEMM columns of a row product
-# the largest row (in centers) that takes the einsum product and the complex exp; larger rows
-# take one real GEMM and the tangent-form exp (see ``_factored_row``)
-_GEMM_ROWS = 512
+# rows of fewer entries (centers times components) take one complex GEMV and the complex exp;
+# larger rows take one real GEMM and the tangent-form exp (see ``_factored_row``)
+_GEMV_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -269,44 +271,48 @@ def _factored_row(
     the two differ at most in the sign of an exactly zero real or imaginary
     part, never in a value.
 
-    The size of the row picks one of two forms. A row over at most
-    ``_GEMM_ROWS`` centers takes the ``einsum`` product and the complex
-    ``exp``, the cheaper pair at a few hundred centers. A larger row takes the
-    product as one real GEMM, ``(m, 2 nu) @ (2 nu, 2)``, on the float64 view of
-    the row-major centers, whose two output columns are the real and
-    imaginary parts of ``g``; for the complex Gaussian it then writes the
-    ``exp`` in the tangent form of ``_split_conj_exp``. Centers that are not
-    C-contiguous (Fortran-ordered ones, or a strided slice) are copied first,
-    since a Fortran-ordered array has no float64 view; a dictionary's centers
-    are C-contiguous and are never copied. With ``sigma = 5`` the two
-    forms of a row differ by at most 3e-15 relative per kernel value (measured:
-    6.8e-16 on unit-variance inputs, 1.0e-15 and 2.6e-15 on the bundled
-    circular and non-circular data, at 513 to 5000 centers).
+    The size of the row picks one of two forms. A row of fewer than
+    ``_GEMV_ENTRIES`` entries ``m * nu`` takes the product as one complex GEMV,
+    ``centers @ v``, and the complex ``exp``. A larger row takes the product as
+    one real GEMM, ``(m, 2 nu) @ (2 nu, 2)``, on the float64 view of the
+    row-major centers, whose two output columns are the real and imaginary
+    parts of ``g``; for the complex Gaussian it then writes the ``exp`` in the
+    tangent form of ``_split_conj_exp``. Centers that are not C-contiguous
+    (Fortran-ordered ones, or a strided slice) are copied first in the large
+    form, since a Fortran-ordered array has no float64 view; a dictionary's
+    centers are C-contiguous and are never copied. With ``sigma = 5`` both
+    forms agree with ``kernel_matrix`` to at most 6e-15 relative per kernel
+    value (see the README for the measured figures).
 
-    OpenBLAS runs the GEMM on the calling thread unless ``m * nu`` is several
-    hundred thousand (at 20 000 centers of width 20 it takes a second core
-    when its thread count is not pinned); the einsum product never leaves it.
+    The bound counts entries because BLAS threading does. With its thread
+    count unpinned, OpenBLAS 0.3.31 runs zgemv on one thread below 4096
+    entries and on two from there on, where the call is slower and its
+    worker burns a second core (at nu 5, a median 6.5 us per call at 819
+    centers against 8.6 us at 820, and up to 54 us in a slow round). With
+    one pinned thread the GEMV form stays cheaper per step than the GEMM
+    form up to about 1000 centers, so the bound, not the speed crossover,
+    sets the switch. The GEMM stays on the calling thread unless ``m * nu``
+    is several hundred thousand.
     """
     w = np.conj(z)
     # the complex Gaussian takes -2 g straight from the product with -2 w
     v = -2.0 * w if spec.family == COMPLEX_GAUSSIAN else w
-    large = centers.shape[0] > _GEMM_ROWS
+    small = centers.size < _GEMV_ENTRIES
     # the (m,) product is the only (m,) array: the exponent and its exp are computed in place
     # in it
-    if large:
+    if small:
+        row = centers @ v
+    else:
         pair = np.multiply.outer(v, _ONE_I).view(np.float64).reshape(2 * v.shape[0], 2)
         row = (np.ascontiguousarray(centers).view(np.float64) @ pair).view(_COMPLEX)[:, 0]
-    else:
-        row = np.einsum("ij,j->i", centers, v)
     if spec.family == LINEAR:
         return np.conjugate(row, out=row)
     if spec.family == REAL_GAUSSIAN:
-        x = z.real
-        return np.exp((x @ x - 2.0 * row.real + squares.real) / -spec.sigma**2)
+        return np.exp((z.real @ z.real - 2.0 * row.real + squares.real) / -spec.sigma**2)
     row += np.add.reduce(w * w)
     row += squares
     scale = -1.0 / spec.sigma**2
-    if large and _split_conj_exp(row, scale):
+    if not small and _split_conj_exp(row, scale):
         return row
     row *= scale
     np.exp(row, out=row)

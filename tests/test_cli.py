@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import ckaf.cli
 from ckaf.cli import default_config_path, main
 from ckaf.experiment import load_config_file
+from ckaf.kernels import real_gaussian
 
 TINY_CONFIG = {
     "name": "smoke",
@@ -216,27 +218,42 @@ class TestVerificationCommands:
         assert main(["verify-kernel", "--n-points", "10", "--sigma", "1.0"]) == 0
         assert "PASS Gram positive semidefinite" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "sigma, failed",
-        [
-            # the real Gaussian underflows to 0, so the relative gap is 0/0
-            ("0.2", ["real-input restriction"]),
-            # the complex Gaussian also overflows: the Gram matrix holds inf
-            ("0.05", [
-                "Hermitian symmetry", "Gram positive semidefinite", "real-input restriction",
-                "distance symmetry",
-            ]),
-        ],
-    )
-    def test_verify_kernel_fails_on_non_finite_values(self, capsys, sigma, failed):
-        """A width at which kernel values overflow or underflow fails the checks it breaks,
-        through the summary line and exit status 1, without a traceback or a NaN read as a
-        pass."""
-        assert main(["verify-kernel", "--sigma", sigma]) == 1
+    def test_verify_kernel_fails_on_non_finite_values(self, capsys):
+        """A width at which the complex Gaussian overflows on complex points (the Gram matrix
+        holds inf) fails the checks it breaks, through the summary line and exit status 1,
+        without a traceback or a NaN read as a pass. The real-input restriction, on real
+        points whose kernel values only underflow, alike in both kernels, still passes."""
+        failed = ["Hermitian symmetry", "Gram positive semidefinite", "distance symmetry"]
+        assert main(["verify-kernel", "--sigma", "0.05"]) == 1
         lines = capsys.readouterr().out.splitlines()
         fail_lines = [line.split(":")[0] for line in lines if line.startswith("FAIL ")]
         assert fail_lines == [f"FAIL {name}" for name in failed]
         assert lines[-1] == f"{len(failed)} check(s) failed: {', '.join(failed)}"
+
+    @pytest.mark.parametrize("sigma", ["0.2", "0.7", "3"])
+    def test_verify_kernel_restriction_passes_where_the_kernels_agree(self, capsys, sigma):
+        """The two kernels agree at every width: entries that underflow to 0.0 in both (at
+        0.2) count as equal, not as 0/0, and the gap of exp(-a), which carries the rounding
+        of a and so grows like a * eps (about 3e-14 relative at 0.7), is taken per unit of
+        max(1, a)."""
+        assert main(["verify-kernel", "--sigma", sigma]) == 0
+        out = capsys.readouterr().out
+        assert "PASS real-input restriction" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("sigma", ["0.2", "5"])
+    def test_verify_kernel_restriction_fails_on_a_perturbed_width(
+        self, capsys, monkeypatch, sigma
+    ):
+        """A real kernel whose width is off by a relative 1e-9 fails the restriction check,
+        and only it, with exit status 1."""
+        monkeypatch.setattr(
+            ckaf.cli, "real_gaussian", lambda width: real_gaussian(width * (1 + 1e-9))
+        )
+        assert main(["verify-kernel", "--sigma", sigma]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fail_lines = [line.split(":")[0] for line in lines if line.startswith("FAIL ")]
+        assert fail_lines == ["FAIL real-input restriction"]
+        assert lines[-1] == "1 check(s) failed: real-input restriction"
 
     def test_verify_kernel_rejects_bad_flags(self, capsys):
         """Nonsensical verification parameters exit nonzero."""

@@ -32,4 +32,4 @@ def test_demo_exits_cleanly(script, args):
     )
     assert result.returncode == 0, result.stderr
     if script == "step_cost.py":
-        assert "| 8 | " in result.stdout and result.stdout.rstrip().endswith("| einsum |")
+        assert "| 8 | " in result.stdout and result.stdout.rstrip().endswith("| GEMV |")
