@@ -23,6 +23,7 @@ fall inside the observed sequence.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -67,6 +68,11 @@ class ChannelConfig:
         _nonnegative_finite(self.noise_stddev, "noise_stddev")
         if len(self.linear_taps) == 0:
             raise ValueError("at least one linear tap is required")
+        # a non-finite coefficient makes every received sample non-finite
+        for name in ("linear_taps", "poly_coeffs"):
+            for k, value in enumerate(getattr(self, name)):
+                if not cmath.isfinite(value):
+                    raise ValueError(f"{name}[{k}] must be finite, got {[value.real, value.imag]}")
 
 
 @dataclass(frozen=True)

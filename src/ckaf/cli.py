@@ -12,7 +12,8 @@ Three subcommands:
 ``ckaf verify-wirtinger [--seed N]``
     Numeric gradient verification: inner-product gradient identities,
     first-order expansions, steepest-ascent direction, and the squared-error
-    loss gradient, each printed as a PASS/FAIL line.
+    loss gradient, each printed as a PASS/FAIL line. A negative seed exits
+    with status 2.
 
 ``ckaf verify-kernel [--n-points N] [--sigma S]``
     Kernel validity checks on random point sets: Hermitian symmetry, Gram
@@ -158,6 +159,9 @@ def _check(name: str, passed: bool, detail: str, failures: list) -> None:
 
 
 def _cmd_verify_wirtinger(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     failures = []
 

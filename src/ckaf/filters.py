@@ -25,7 +25,9 @@ Three algorithms share one step-record interface:
     This is exactly nclms run on the augmented vector with the stacked
     weight (w, g): ``<(z, conj z), (w, g)> = <z, w> + <conj z, g>`` and
     ``||(z, conj z)||^2 = 2 ||z||^2`` because ``|conj z_i| = |z_i|``. Both
-    algorithms therefore share one update, ``_normalized_lms_step``.
+    algorithms therefore share one step, ``nclms_step``, and the state
+    decides which one runs: a state with conjugate weights ``g`` (from
+    ``new_linear_state(dim, widely_linear=True)``) is widely linear.
 
 Runs
 ----
@@ -36,13 +38,14 @@ of R realizations and returns (R, N) arrays. The normalized LMS update works
 on ``(..., L)`` arrays, so ``run_block`` advances the R runs of nclms or
 wl_nclms in lockstep: at step i one numpy expression updates the (R, L)
 weights of every run, and each run's predictions and weights equal, bit for
-bit, those of a serial ``nclms_step``/``wl_nclms_step`` loop over it. The
-gains ``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend
-only on the inputs, so ``run_block`` computes them once per realization. A
-zero input with ``eps = 0`` has no defined normalized step; its gain is 0
-and the weights stay as they are. cklms runs the rows of a block one after
-another, one ``cklms_step`` call per sample, and writes each row's
-predictions and dictionary sizes straight into the block's arrays.
+bit, those of a serial ``nclms_step`` loop over it. The gains
+``mu / (eps + h ||z||^2)`` (h = 1 for nclms, 2 for wl_nclms) depend only on
+the inputs, so ``run_block`` computes them once per realization. A zero
+input with ``eps = 0`` has no defined normalized step; its gain is 0 and
+the weights stay as they are. cklms runs the rows of a block one after
+another, each from ``CklmsState(config)``, one ``cklms_step`` call per
+sample, and writes each row's predictions and dictionary sizes straight
+into the block's arrays.
 
 Novelty criterion
 -----------------
@@ -58,6 +61,8 @@ Setting ``delta1 = delta2 = 0`` disables sparsification entirely.
 
 State objects are mutable and updated in place; the step functions return
 ``(state, record)`` so call sites can also be written in a functional style.
+A state carries its settings: ``CklmsState`` holds its frozen ``CklmsConfig``,
+so only the data passes through ``cklms_step``.
 """
 
 from __future__ import annotations
@@ -209,18 +214,30 @@ def _new_buffers(capacity: int, dim: int) -> tuple:
     )
 
 
-@dataclass
-class CklmsState:
-    """Kernel LMS filter state: kernel, step size, thresholds, dictionary."""
+@dataclass(frozen=True)
+class CklmsConfig:
+    """Kernel LMS settings: kernel, step size, thresholds; also run_filter's and run_block's."""
 
     kernel: KernelSpec
     mu: float
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
+
+    def __post_init__(self):
+        _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
+
+
+@dataclass
+class CklmsState:
+    """Kernel LMS filter state: its frozen settings, the dictionary, the iteration count."""
+
+    config: CklmsConfig
     dictionary: Dictionary = field(default_factory=Dictionary)
     iteration: int = 0
 
     def __post_init__(self):
-        _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
+        # only a CklmsConfig has checked mu; CklmsState(kernel, mu) would bind mu to the dictionary
+        if not isinstance(self.config, CklmsConfig):
+            raise TypeError(f"config must be a CklmsConfig, got {type(self.config).__name__}")
         # what a snapshot can hold: an int, never a bool
         if not isinstance(self.iteration, int) or isinstance(self.iteration, bool):
             raise TypeError(f"iteration must be an int, got {self.iteration!r}")
@@ -255,7 +272,7 @@ class LinearFilterState:
 
 def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None) -> CklmsState:
     """Fresh kernel LMS state with an empty dictionary."""
-    return CklmsState(kernel=kernel, mu=mu, novelty=novelty or NoveltyConfig())
+    return CklmsState(CklmsConfig(kernel, mu, novelty or NoveltyConfig()))
 
 
 def new_linear_state(dim: int, widely_linear: bool = False, epsilon: float = 1e-6) -> LinearFilterState:
@@ -292,7 +309,7 @@ def cklms_predict(state: CklmsState, z) -> complex:
     if dictionary.size == 0:
         return 0j
     centers, coefficients, _, squares = dictionary.views
-    return complex(np.dot(coefficients, kernel_vector(zv, centers, state.kernel, squares)))
+    return complex(np.dot(coefficients, kernel_vector(zv, centers, state.config.kernel, squares)))
 
 
 def cklms_step(state: CklmsState, z, d) -> tuple:
@@ -306,7 +323,8 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
     zv = _as_sample_vector(z)
     dv = _as_target(d)
     dictionary = state.dictionary
-    kzz = self_kernel(zv, state.kernel)
+    config = state.config
+    kzz = self_kernel(zv, config.kernel)
     # scalars are Python complex and float from here on: the same IEEE operations as on
     # numpy scalars, without numpy's per-operation dispatch
     if dictionary._size == 0:
@@ -315,7 +333,7 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         novel = True
     else:
         centers, coefficients, self_kernels, squares = dictionary.views
-        kvec = kernel_vector(zv, centers, state.kernel, squares)
+        kvec = kernel_vector(zv, centers, config.kernel, squares)
         prediction = complex(np.dot(coefficients, kvec))
         error = dv - prediction
         # the squared distance to center k is kzz + (self_kernels[k] - 2 Re kvec[k]); rounding
@@ -323,8 +341,8 @@ def cklms_step(state: CklmsState, z, d) -> tuple:
         distance_sq = np.multiply(kvec.real, -2.0)
         distance_sq += self_kernels
         dis = math.sqrt(max(kzz + float(np.minimum.reduce(distance_sq)), 0.0))
-        novel = dis >= state.novelty.delta1 and _modulus(error) >= state.novelty.delta2
-    coefficient = state.mu * error
+        novel = dis >= config.novelty.delta1 and _modulus(error) >= config.novelty.delta2
+    coefficient = config.mu * error
     # novelty criterion; finiteness is tested explicitly because every comparison with NaN
     # is false and |nan + inf j| is inf
     admitted = novel and cmath.isfinite(coefficient)
@@ -344,40 +362,23 @@ def _modulus(e: complex) -> float:
 
 
 def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
-    """One normalized complex LMS iteration on the raw input vector.
+    """One normalized LMS iteration; widely linear when the state has conjugate weights ``g``.
 
-    ``d_hat = <z, w> = sum_i z_i conj(w_i)`` and the weight update is
-    ``w <- w + mu / (eps + ||z||^2) * conj(e) * z``. Mutates and returns the
-    state together with the step record. Raises ValueError on a widely
-    linear state (``g`` set), which belongs to ``wl_nclms_step``.
+    Strictly linear, ``d_hat = <z, w> = sum_i z_i conj(w_i)`` and the weight
+    update is ``w <- w + mu / (eps + ||z||^2) * conj(e) * z``. Widely linear,
+    ``d_hat = <z, w> + <conj(z), g>`` and both weight vectors are updated with
+    the shared normalization ``eps + 2 ||z||^2``: the same step on the stacked
+    input (z, conj(z)) and weight (w, g). Mutates and returns the state
+    together with the step record. Raises ValueError on a ``mu`` that is not
+    positive and finite, and ArithmeticError on non-finite inputs, before the
+    state changes.
     """
-    return _linear_step(state, z, d, mu, widely_linear=False)
-
-
-def wl_nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
-    """One widely linear normalized LMS iteration on the augmented vector.
-
-    Prediction uses both weight vectors, ``d_hat = <z, w> + <conj(z), g>``,
-    and both are updated with the shared normalization ``eps + 2 ||z||^2``,
-    which is the plain normalized LMS step written for the stacked vector
-    (z, conj(z)).
-    """
-    return _linear_step(state, z, d, mu, widely_linear=True)
-
-
-def _linear_step(state: LinearFilterState, z, d, mu: float, widely_linear: bool) -> tuple:
-    """The body of ``nclms_step`` and ``wl_nclms_step``: validate, update, record."""
+    _positive_finite(mu, "mu")  # NaN or inf turns every weight into NaN; mu <= 0 never learns
     zv = _as_sample_vector(z)
     dv = _as_target(d)
-    if widely_linear and state.g is None:
-        raise ValueError(
-            "state has no conjugate weight vector; use new_linear_state(dim, widely_linear=True)"
-        )
-    if not widely_linear and state.g is not None:
-        raise ValueError("state has a conjugate weight vector; use wl_nclms_step")
     if zv.shape[0] != state.w.shape[0]:
         raise ValueError(f"input has {zv.shape[0]} components, filter expects {state.w.shape[0]}")
-    gain = _gains(zv, mu, state.epsilon, widely_linear)
+    gain = _gains(zv, mu, state.epsilon, state.g is not None)
     prediction, error = _normalized_lms_step(zv, dv, gain, state.w, state.g)
     squared_error = float(error.real * error.real + error.imag * error.imag)
     return state, StepRecord(complex(prediction), complex(error), squared_error, True, 0)
@@ -415,18 +416,6 @@ def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray]) -> 
     if g is not None:
         g += step * z_conj
     return prediction, error
-
-
-@dataclass(frozen=True)
-class CklmsConfig:
-    """run_filter and run_block configuration for the cklms algorithm."""
-
-    kernel: KernelSpec
-    mu: float
-    novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
-
-    def __post_init__(self):
-        _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
 
 
 @dataclass(frozen=True)
@@ -475,9 +464,9 @@ def _check_algorithm(algorithm: str, config) -> None:
 def run_filter(samples, algorithm: str, config) -> FilterRun:
     """Drive one algorithm over (input, target) pairs in order, one step per pair.
 
-    Each pair goes through ``cklms_step``, ``nclms_step`` or ``wl_nclms_step``,
-    so every sample is validated by its step. A linear filter starts from
-    zero weights sized by the first input.
+    Each pair goes through ``cklms_step`` or ``nclms_step``, so every sample
+    is validated by its step. A linear filter starts from zero weights sized
+    by the first input, with conjugate weights for wl_nclms.
 
     Parameters
     ----------
@@ -499,9 +488,7 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
         Wrapping any step failure with its zero-based iteration index.
     """
     _check_algorithm(algorithm, config)
-    state = None
-    if algorithm == "cklms":
-        state = new_cklms_state(config.kernel, config.mu, config.novelty)
+    state = CklmsState(config) if algorithm == "cklms" else None
     records = []
     for i, (z, d) in enumerate(samples):
         try:
@@ -511,8 +498,7 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
                 if state is None:  # zero weights sized by the first input
                     dim = _as_sample_vector(z).shape[0]
                     state = new_linear_state(dim, algorithm == "wl_nclms", config.epsilon)
-                step = nclms_step if algorithm == "nclms" else wl_nclms_step
-                state, record = step(state, z, d, config.mu)
+                state, record = nclms_step(state, z, d, config.mu)
         except Exception as exc:
             raise FilterStepError(i, str(exc)) from exc
         records.append(record)
@@ -529,8 +515,8 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
     lockstep: at step i one call of ``_normalized_lms_step`` updates the
     (R, L) weights, so the Python and numpy dispatch cost is paid once per
     step, not once per run, and each run's predictions, squared errors and
-    final weights equal, bit for bit, those of a serial
-    ``nclms_step``/``wl_nclms_step`` loop over its samples. cklms runs the
+    final weights equal, bit for bit, those of a serial ``nclms_step`` loop
+    over its samples, from ``new_linear_state``. cklms runs the
     rows one after another, calling ``cklms_step`` once per sample, and keeps
     each row's predictions and dictionary sizes, not its state or its step
     records, so a block never holds R dictionaries.
@@ -555,7 +541,7 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
     if algorithm == "cklms":
         dict_sizes = np.empty((runs, n), dtype=np.int64)
         for r in range(runs):
-            state = new_cklms_state(config.kernel, config.mu, config.novelty)
+            state = CklmsState(config)
             run_predictions, run_sizes = [], []
             for i, (z, d) in enumerate(zip(inputs[r], targets[r])):
                 try:
@@ -629,9 +615,10 @@ def snapshot_state(state) -> dict:
     weight vector(s) and epsilon. Complex values are stored as [real, imag].
     """
     if isinstance(state, CklmsState):
+        config, dictionary = state.config, state.dictionary
         snapshot = _CklmsSnapshot(
-            "cklms", state.kernel, state.mu, state.novelty, state.iteration,
-            state.dictionary.centers, state.dictionary.coefficients,
+            "cklms", config.kernel, config.mu, config.novelty, state.iteration,
+            dictionary.centers, dictionary.coefficients,
         )
     elif isinstance(state, LinearFilterState):
         algorithm = "nclms" if state.g is None else "wl_nclms"
@@ -666,7 +653,8 @@ def restore_state(doc):
     try:
         if algorithm != "cklms":
             return LinearFilterState(w=snap.w, g=snap.g, epsilon=snap.epsilon)
-        state = CklmsState(snap.kernel, snap.mu, snap.novelty, iteration=snap.iteration)
+        config = CklmsConfig(snap.kernel, snap.mu, snap.novelty)
+        state = CklmsState(config, iteration=snap.iteration)
     except ValueError as exc:
         raise ConfigError("snapshot", str(exc)) from exc
     if len(snap.centers) != len(snap.coefficients):
@@ -681,7 +669,7 @@ def restore_state(doc):
         if not cmath.isfinite(coefficient):
             raise ValueError(f"snapshot coefficient {k} is not finite")
         try:  # a center of another width, or a complex center for the real kernel
-            state.dictionary.append(center, coefficient, self_kernel(center, state.kernel))
+            state.dictionary.append(center, coefficient, self_kernel(center, config.kernel))
         except ValueError as exc:
             raise ValueError(f"snapshot.centers[{k}]: {exc}") from exc
     return state

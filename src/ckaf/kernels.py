@@ -238,8 +238,8 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
 
 def _difference_form(Zm: np.ndarray, Cm: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """The body of ``kernel_matrix`` on validated (n, nu) and (m, nu) complex arrays."""
-    # np.add.reduce is np.sum without its Python-level dispatch, which is a
-    # measurable share of a filter step at small dictionary sizes
+    # np.add.reduce is np.sum without its Python-level dispatch; the filter step does not come
+    # here, it takes the kernel row from kernel_vector's expanded form
     if spec.family == COMPLEX_GAUSSIAN:
         diff = Zm[:, None] - np.conj(Cm)
         return np.exp(-np.add.reduce(diff * diff, axis=-1) / spec.sigma**2)

@@ -143,6 +143,23 @@ class TestEqualize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["linear_taps", "poly_coeffs"])
+    def test_non_finite_channel_coefficient_exits_2_naming_its_field(
+        self, capsys, tmp_path, field, value
+    ):
+        """A NaN or infinite channel coefficient, which would make every received sample
+        non-finite, is refused at load with the entry's index, before any run."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["channel"][field] = [[0.5, -0.25], [0.0, value]]
+        config = tmp_path / "nan.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        message = f"experiment.channel: {field}[1] must be finite, got [0.0, {value}]"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -205,6 +222,12 @@ class TestVerificationCommands:
         """A custom seed still passes."""
         assert main(["verify-wirtinger", "--seed", "123"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_verify_wirtinger_rejects_a_negative_seed(self, capsys):
+        """A seed the random generator cannot take is a usage error, not a traceback."""
+        assert main(["verify-wirtinger", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be nonnegative\n" and captured.out == ""
 
     def test_verify_kernel_passes(self, capsys):
         """Kernel checks pass at the default width."""

@@ -1,6 +1,7 @@
 """Step-level and run-level tests for the adaptive filters."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -43,7 +44,6 @@ from ckaf.filters import (
     run_block,
     run_filter,
     snapshot_state,
-    wl_nclms_step,
 )
 from ckaf.kernels import (
     KernelSpec,
@@ -816,11 +816,25 @@ class TestCklmsStep:
         with pytest.raises(ValueError, match="sigma must be positive and finite, got inf"):
             new_cklms_state(complex_gaussian(math.inf), mu=1.0)
         with pytest.raises(ValueError, match="^iteration must be nonnegative and finite, got -3$"):
-            CklmsState(complex_gaussian(1.0), 0.5, iteration=-3)
+            CklmsState(CklmsConfig(complex_gaussian(1.0), 0.5), iteration=-3)
         # a snapshot holds only an int count, so a state that could not be restored is refused
         for iteration in (2.5, 3.0, True, "3"):
             with pytest.raises(TypeError, match=f"^iteration must be an int, got {iteration!r}$"):
-                CklmsState(complex_gaussian(1.0), 0.5, iteration=iteration)
+                CklmsState(CklmsConfig(complex_gaussian(1.0), 0.5), iteration=iteration)
+
+    def test_state_holds_its_settings_frozen(self):
+        """The state keeps one settings object, which refuses assignment: a step size can no
+        longer be set to a value its check never saw."""
+        state = new_cklms_state(complex_gaussian(1.0), 0.5, NoveltyConfig(0.1, 0.2))
+        assert [f.name for f in dataclasses.fields(state)] == ["config", "dictionary", "iteration"]
+        assert state.config == CklmsConfig(complex_gaussian(1.0), 0.5, NoveltyConfig(0.1, 0.2))
+        for name, value in [("mu", math.nan), ("kernel", complex_gaussian(2.0)), ("novelty", None)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state.config, name, value)
+        assert state.config.mu == 0.5
+        # the settings come as one checked object, not as the loose values they hold
+        with pytest.raises(TypeError, match="^config must be a CklmsConfig, got KernelSpec$"):
+            CklmsState(complex_gaussian(1.0), 0.5)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -986,7 +1000,7 @@ class TestNclmsStep:
         w, g = np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128)
         state = LinearFilterState(w=w, g=g)
         assert state.w is w and state.g is g
-        wl_nclms_step(state, [1 + 1j, 1], 1j, 0.5)
+        nclms_step(state, [1 + 1j, 1], 1j, 0.5)
         assert w.any() and g.any()
 
     @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
@@ -994,6 +1008,18 @@ class TestNclmsStep:
         """The first input sizes the weights, so it is refused as any step refuses it."""
         with pytest.raises(FilterStepError, match="^step 0: input must be a 1-D vector"):
             run_filter([(np.zeros(0, dtype=complex), 0j)], algorithm, LinearLmsConfig(mu=0.1))
+
+    @pytest.mark.parametrize("widely_linear", [False, True], ids=["nclms", "wl_nclms"])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_mu_rejected_before_the_state_changes(self, mu, widely_linear):
+        """A step size that is not positive and finite is refused as LinearLmsConfig refuses
+        it: NaN or inf would turn the weights into NaN, 0 never learns, -1 steps away."""
+        state = new_linear_state(2, widely_linear=widely_linear)
+        nclms_step(state, [1 + 1j, 0.5], 1, 0.5)
+        w, g = state.w.copy(), None if state.g is None else state.g.copy()
+        with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+            nclms_step(state, [1 + 1j, 0.5], 1, mu)
+        assert np.array_equal(state.w, w) and (g is None or np.array_equal(state.g, g))
 
     def test_dimension_mismatch_rejected(self):
         """Input length must match the weight vector."""
@@ -1006,7 +1032,7 @@ class TestWlNclmsStep:
     def test_zero_weights_predict_zero(self):
         """With w = g = 0 the output is 0."""
         state = new_linear_state(2, widely_linear=True)
-        _, record = wl_nclms_step(state, [1j, 2 + 0j], 1 + 0j, mu=0.5)
+        _, record = nclms_step(state, [1j, 2 + 0j], 1 + 0j, mu=0.5)
         assert record.prediction == 0j
 
     def test_real_inputs_degenerate_to_doubled_linear_predictor(self):
@@ -1017,7 +1043,7 @@ class TestWlNclmsStep:
             z = rng.standard_normal(3).astype(np.complex128)
             d = complex(rng.standard_normal() + 1j * rng.standard_normal())
             w_before = state.w.copy()
-            state, record = wl_nclms_step(state, z, d, mu=0.4)
+            state, record = nclms_step(state, z, d, mu=0.4)
             linear_part = np.sum(z * np.conj(w_before))
             assert record.prediction == complex(2.0 * linear_part)
             assert np.array_equal(state.w, state.g)
@@ -1037,21 +1063,9 @@ class TestWlNclmsStep:
             reference.append(pred)
         state = new_linear_state(3, widely_linear=True, epsilon=eps)
         for (z, d), expected in zip(samples, reference):
-            state, record = wl_nclms_step(state, z, d, mu=mu)
+            state, record = nclms_step(state, z, d, mu=mu)
             assert abs(record.prediction - expected) < 1e-13
 
-    def test_requires_conjugate_weights(self):
-        """A strictly linear state cannot run the widely linear update."""
-        state = new_linear_state(2, widely_linear=False)
-        with pytest.raises(ValueError):
-            wl_nclms_step(state, [1 + 0j, 0j], 0j, mu=0.1)
-
-    def test_strictly_linear_update_refuses_conjugate_weights(self):
-        """A widely linear state cannot run the strictly linear update."""
-        state = new_linear_state(2, widely_linear=True)
-        with pytest.raises(ValueError, match="conjugate weight vector"):
-            nclms_step(state, [1 + 0j, 0j], 1 + 0j, mu=0.1)
-        assert not state.w.any() and not state.g.any()
 
 
 def bits(a) -> np.ndarray:
@@ -1096,9 +1110,8 @@ class TestLinearBlock:
                     records = [cklms_step(state, z, d)[1] for z, d in zip(inputs[r], targets[r])]
             else:
                 widely_linear = algorithm == "wl_nclms"
-                step = wl_nclms_step if widely_linear else nclms_step
                 state = new_linear_state(dim, widely_linear=widely_linear, epsilon=epsilon)
-                records = [step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
+                records = [nclms_step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
             predictions = np.array([rec.prediction for rec in records])
             squared_errors = np.array([rec.squared_error for rec in records])
             assert np.array_equal(bits(block.predictions[r]), bits(predictions))
@@ -1309,10 +1322,8 @@ class TestRunFilter:
         """run_filter returns the step loop's records and state."""
         rng = np.random.default_rng(74)
         samples = random_samples(rng, 40, 3)
-        widely_linear = algorithm == "wl_nclms"
-        step = wl_nclms_step if widely_linear else nclms_step
-        state = new_linear_state(3, widely_linear=widely_linear, epsilon=1e-4)
-        expected = [step(state, z, d, 0.3)[1] for z, d in samples]
+        state = new_linear_state(3, widely_linear=algorithm == "wl_nclms", epsilon=1e-4)
+        expected = [nclms_step(state, z, d, 0.3)[1] for z, d in samples]
         run = run_filter(iter(samples), algorithm, LinearLmsConfig(mu=0.3, epsilon=1e-4))
         assert run.records == expected
         assert snapshot_state(run.state) == snapshot_state(state)
@@ -1341,7 +1352,7 @@ class TestSnapshots:
         rng = np.random.default_rng(81)
         state = new_linear_state(3, widely_linear=True, epsilon=1e-5)
         for z, d in random_samples(rng, 10, 3):
-            state, _ = wl_nclms_step(state, z, d, mu=0.4)
+            state, _ = nclms_step(state, z, d, mu=0.4)
         doc = json.loads(json.dumps(snapshot_state(state)))
         restored = restore_state(doc)
         assert np.array_equal(restored.w, state.w)
@@ -1536,7 +1547,7 @@ class TestSnapshots:
             "coefficients": [],
         }
         state = restore_state(doc)
-        assert state.kernel == KernelSpec("linear", 1.0) and state.novelty == NoveltyConfig(0.0, 0.0)
+        assert state.config == CklmsConfig(KernelSpec("linear", 1.0), 0.5, NoveltyConfig(0.0, 0.0))
         state = restore_state({"algorithm": "nclms", "epsilon": 0.0, "w": [[1.0, 0.0]]})
         assert state.g is None and state.w.tolist() == [1 + 0j]
 
@@ -1564,7 +1575,7 @@ class TestSnapshots:
         samples = random_samples(np.random.default_rng(seed), steps + 5, dim)
         if algorithm in ("nclms", "wl_nclms"):
             state = new_linear_state(dim, widely_linear=algorithm == "wl_nclms", epsilon=epsilon)
-            step = partial(nclms_step if algorithm == "nclms" else wl_nclms_step, mu=mu)
+            step = partial(nclms_step, mu=mu)
         else:
             if algorithm == "real-gaussian":  # the real kernel takes real inputs only
                 samples = [(z.real.astype(complex), d) for z, d in samples]
