@@ -42,7 +42,11 @@ def summarize(result, head=200):
     for label, curve in result.curves.items():
         start = 10.0 * np.log10(np.mean(curve.mse[:head]))
         end = curve.steady_state_db
-        trend = "improved" if end < start else "diverged"
+        # a trend needs the first and the last window to cover different samples
+        if curve.mse.shape[0] >= head + STEADY_STATE_WINDOW:
+            trend = "improved" if end < start else "diverged"
+        else:
+            trend = "too short to judge a trend"
         line = (
             f"  {label:<9} first {head}: {start:+8.2f} dB   "
             f"last {STEADY_STATE_WINDOW}: {end:+8.2f} dB   {trend}"

@@ -26,14 +26,26 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ckaf.kernels import _as_pair, _as_vector, _complex_array, _nonnegative_finite
 
 DEFAULT_LINEAR_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_POLY_COEFFS = (0.1 + 0.15j, 0.06 + 0.05j)
+
+
+def _require_int(value, name: str) -> None:
+    """Refuse ``value`` unless it is an integer (numpy's included), never a bool.
+
+    A bool would embed silently as 0 or 1, and a float fails only later,
+    inside numpy, with an error that names no setting.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,7 @@ class SignalConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
+        _require_int(self.n_samples, "n_samples")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if not math.isfinite(self.amplitude):
@@ -83,6 +96,8 @@ class EmbeddingConfig:
     delay: int = 2
 
     def __post_init__(self):
+        _require_int(self.filter_length, "filter_length")
+        _require_int(self.delay, "delay")
         if self.filter_length < 0:
             raise ValueError("filter_length must be nonnegative")
         if self.delay < 0:
@@ -91,7 +106,14 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned regression pairs: inputs[k] predicts targets[k] = s(start + k)."""
+    """Aligned regression pairs: inputs[k] predicts targets[k] = s(start + k).
+
+    ``inputs`` (K, L+1) is a read-only window with a negative column stride
+    over a private copy of the received sequence: its K rows overlap and
+    share that copy's N values. ``np.array(ds.inputs)`` gives a writable
+    C-contiguous copy. ``targets`` (K,) is a private copy of
+    s(start), ..., s(N-1-D).
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -138,6 +160,13 @@ def build_dataset(r, s, cfg: EmbeddingConfig) -> Dataset:
 
     The pair for target index n is ((r(n+D), ..., r(n+D-L)), s(n)); n runs
     from max(0, L-D) through N-1-D so that every referenced sample exists.
+
+    Row n is the window r(n+D-L ... n+D) read backwards, so ``inputs`` is a
+    read-only ``sliding_window_view`` of one private copy of ``r`` with a
+    negative column stride, not a (K, L+1) copy: the dataset holds 2N
+    complex values whatever L is, and later writes to the caller's ``r`` and
+    ``s`` do not reach it. ``np.array(ds.inputs)`` gives a writable
+    contiguous copy.
     """
     rv, sv = _as_pair(r, s, names=("r", "s"))
     n_total = rv.size
@@ -147,9 +176,9 @@ def build_dataset(r, s, cfg: EmbeddingConfig) -> Dataset:
             f"need more than filter_length + delay = {length + delay} samples, got {n_total}"
         )
     start = max(0, length - delay)
-    n_values = np.arange(start, n_total - delay)
-    index_grid = n_values[:, None] + delay - np.arange(length + 1)[None, :]
-    return Dataset(inputs=rv[index_grid], targets=sv[n_values], start=start)
+    windows = sliding_window_view(np.array(rv), length + 1)[:, ::-1]  # row k: r(k+L), ..., r(k)
+    inputs = windows[start + delay - length :]  # row n + D - L for n = start ... N-1-D
+    return Dataset(inputs=inputs, targets=np.array(sv[start : n_total - delay]), start=start)
 
 
 def write_dataset_csv(dataset: Dataset, path):

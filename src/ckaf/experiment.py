@@ -230,7 +230,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:
-    """Run ``run_index``'s (N, L) inputs and (N,) targets plus its signal and noise powers."""
+    """Run ``run_index``'s (N, L) inputs and (N,) targets plus its signal and noise powers.
+
+    The inputs are the dataset's read-only window over the received sequence;
+    ``run_experiment`` copies them into its block.
+    """
     try:
         seeds = np.random.SeedSequence((cfg.master_seed, run_index)).generate_state(2)
         signal_cfg = replace(cfg.signal, seed=int(seeds[0]))

@@ -1,9 +1,12 @@
 """Source, channel, and delay-embedding tests."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ckaf.channel import (
     ChannelConfig,
@@ -60,6 +63,17 @@ class TestGenerateInput:
             SignalConfig(rho=1.2, n_samples=10, seed=0)
         with pytest.raises(ValueError):
             SignalConfig(rho=0.5, n_samples=0, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [True, 10.0, 2.5, "10", None])
+    def test_non_integer_length_refused_by_name(self, n_samples):
+        """A bool or non-integer n_samples is a TypeError naming the field, not a later numpy error."""
+        with pytest.raises(TypeError, match=r"^n_samples must be an int, got "):
+            SignalConfig(rho=0.5, n_samples=n_samples)
+
+    def test_numpy_integer_length_accepted(self):
+        """numpy integers are integers."""
+        cfg = SignalConfig(rho=0.5, n_samples=np.int64(12), seed=3)
+        assert generate_input(cfg).shape == (12,)
 
 
 class TestApplyChannel:
@@ -128,7 +142,80 @@ class TestApplyChannel:
             ChannelConfig(noise_stddev=0.0, seed=0, linear_taps=())
 
 
+def _explicit_grid(r, s, length, delay):
+    """The embedding written out index by index: rows r(n + D - j) for j = 0..L, targets s(n)."""
+    ns = range(max(0, length - delay), r.size - delay)
+    inputs = np.array([[r[n + delay - j] for j in range(length + 1)] for n in ns], np.complex128)
+    return inputs, np.array([s[n] for n in ns], np.complex128)
+
+
+def _random_pair(seed, n):
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return r, s
+
+
 class TestBuildDataset:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        length=st.integers(0, 6),
+        delay=st.integers(0, 9),
+        extra=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(length=2, delay=7, extra=5, seed=0)  # D > L
+    @example(length=0, delay=3, extra=4, seed=1)  # L = 0
+    @example(length=5, delay=2, extra=0, seed=2)  # N = L + D + 1: one pair
+    @example(length=0, delay=0, extra=0, seed=3)  # N = 1
+    def test_window_equals_explicit_index_grid(self, length, delay, extra, seed):
+        """Every row and target equals the embedding written out index by index."""
+        r, s = _random_pair(seed, length + delay + 1 + extra)
+        ds = build_dataset(r, s, EmbeddingConfig(filter_length=length, delay=delay))
+        inputs, targets = _explicit_grid(r, s, length, delay)
+        assert ds.start == max(0, length - delay)
+        assert ds.inputs.shape == inputs.shape and ds.targets.shape == targets.shape
+        assert ds.inputs.dtype == ds.targets.dtype == np.complex128
+        assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.targets, targets)
+
+    def test_inputs_are_read_only(self):
+        """The window over the received sequence refuses assignment; a copy of it does not."""
+        r, s = _random_pair(20, 30)
+        ds = build_dataset(r, s, EmbeddingConfig(filter_length=3, delay=1))
+        with pytest.raises(ValueError):
+            ds.inputs[0, 0] = 0
+        with pytest.raises(ValueError):
+            ds.inputs[:] = 0
+        copy = np.array(ds.inputs)
+        copy[0, 0] = 0
+        assert copy.flags.writeable and copy.flags.c_contiguous
+
+    def test_later_writes_to_the_callers_arrays_do_not_reach_the_dataset(self):
+        """The dataset keeps its own copies of r and s."""
+        r, s = _random_pair(21, 30)
+        ds = build_dataset(r, s, EmbeddingConfig(filter_length=3, delay=1))
+        inputs, targets = np.array(ds.inputs), ds.targets.copy()
+        r[:] = np.nan
+        s[:] = np.nan
+        assert np.array_equal(ds.inputs, inputs) and np.array_equal(ds.targets, targets)
+
+    def test_build_allocates_no_grid(self):
+        """A 40 000-sample dataset at L = 5 peaks below three sequences' worth of memory.
+
+        The dataset holds one copy of r and one of the targets, 2N complex
+        values; an (N, L+1) copy of the rows alone would be 6N.
+        """
+        n = 40_000
+        r, s = _random_pair(22, n)
+        tracemalloc.start()
+        try:
+            ds = build_dataset(r, s, EmbeddingConfig(filter_length=5, delay=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.shape == (n - 5, 6)  # n runs from L - D = 3 through N - 1 - D
+        assert peak <= 3 * n * 16, f"building peaked at {peak} bytes"
+
     def test_default_embedding_width(self):
         """filter_length = 5 yields six-component regression vectors."""
         r = np.arange(20, dtype=np.complex128)
@@ -194,6 +281,21 @@ class TestBuildDataset:
             EmbeddingConfig(filter_length=-1)
         with pytest.raises(ValueError):
             EmbeddingConfig(delay=-1)
+
+    @pytest.mark.parametrize("field", ["filter_length", "delay"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, 1.5, "2", None])
+    def test_non_integer_embedding_parameters_refused_by_name(self, field, value):
+        """A bool would embed as 0 or 1 and a float fails deep inside numpy; both are refused."""
+        with pytest.raises(TypeError, match=rf"^{field} must be an int, got "):
+            EmbeddingConfig(**{field: value})
+
+    def test_numpy_integer_embedding_parameters_accepted(self):
+        """numpy integers are integers; the dataset is the one of the equal Python ints."""
+        r, s = _random_pair(23, 20)
+        ds = build_dataset(r, s, EmbeddingConfig(np.int64(3), np.int32(1)))
+        expected = build_dataset(r, s, EmbeddingConfig(3, 1))
+        assert ds.start == expected.start
+        assert np.array_equal(ds.inputs, expected.inputs)
 
 
 class TestWriteDatasetCsv:

@@ -38,3 +38,6 @@ def test_demo_exits_cleanly(script, args):
         assert "| 8 | " in result.stdout and result.stdout.rstrip().endswith("| GEMV |")
     if script == "equalization_benchmark.py":  # three regimes, each with a full dictionary
         assert result.stdout.count("dictionary 25/25") == 3
+        # 25 pairs put the first-200 and last-500 windows over the same samples
+        assert "diverged" not in result.stdout and "improved" not in result.stdout
+        assert result.stdout.count("too short to judge a trend") == 9
