@@ -4,21 +4,21 @@ Run with ``python3 demos/step_cost.py`` after installing the package (a few
 seconds at the default sizes). For each dictionary size ``m`` the script fills
 a dictionary with ``m`` centers of dimension 6 and times ``cklms_step``
 against it in each form of the row, forced through the size switch
-``ckaf.kernels._GEMV_ENTRIES``. The novelty threshold is set so high that no step
+``ckaf.kernels._GEMV_ROWS``. The novelty threshold is set so high that no step
 admits, so every timed step sees a dictionary of exactly ``m`` centers. The
 two forms are timed in alternating chunks and each cell is the median over
 chunks of the mean step time in a chunk, so a drift in the host's speed
 reaches both columns alike.
 
-The GEMV form is one complex GEMV, ``centers @ v``, plus numpy's complex
-``exp``. The GEMM form is one real GEMM on the float64 view of the row-major
-centers plus the ``exp`` in the half-angle tangent form, a SIMD real ``exp``
-and one SIMD ``tan`` per center (see ``ckaf.kernels._split_conj_exp``). A row
-of fewer than ``_GEMV_ENTRIES`` entries (``m`` times the dimension) takes the
-GEMV form and a larger one the GEMM form; the last column says which one a
-dictionary of ``m`` centers uses. The switch sits where an unpinned OpenBLAS
-starts a second zgemv thread, not at the speed crossover this table shows.
-``OPENBLAS_NUM_THREADS`` (and the OpenMP and MKL counts) are set to 1 in this
+The GEMV form is the complex product ``centers @ v``, as one GEMV below
+``_GEMV_ENTRIES`` entries (``m`` times the dimension) and as GEMV calls of
+fewer entries each from there on (see ``ckaf.kernels._split_gemv``), plus
+numpy's complex ``exp``. The GEMM form is one real GEMM on the float64 view of
+the row-major centers plus the ``exp`` in the half-angle tangent form, a SIMD
+real ``exp`` and one SIMD ``tan`` per center (see
+``ckaf.kernels._split_conj_exp``). A row of fewer than ``_GEMV_ROWS`` centers
+takes the GEMV form and a larger one the GEMM form; the last column says which
+one a dictionary of ``m`` centers uses. ``OPENBLAS_NUM_THREADS`` (and the OpenMP and MKL counts) are set to 1 in this
 process before numpy is imported, so no BLAS thread runs beside the step.
 """
 
@@ -40,22 +40,22 @@ from ckaf.kernels import complex_gaussian, self_kernel  # noqa: E402
 DIM = 6
 SIGMA = 5.0  # the bundled configuration's kernel width and amplitude
 AMPLITUDE = 0.7
-# the switch value that forces each form: every row has fewer than 2**62 entries, none has
+# the switch value that forces each form: every row has fewer than 2**62 centers, none has
 # fewer than 0
 FORCING = {"GEMV": 2**62, "GEMM": 0}
 
 
 def chunk_us(state, queries, targets, form: str) -> float:
     """Mean microseconds per ``cklms_step`` over one chunk of queries, in the given row form."""
-    switch = ckaf.kernels._GEMV_ENTRIES
-    ckaf.kernels._GEMV_ENTRIES = FORCING[form]
+    switch = ckaf.kernels._GEMV_ROWS
+    ckaf.kernels._GEMV_ROWS = FORCING[form]
     try:
         started = time.perf_counter()
         for z, d in zip(queries, targets):
             cklms_step(state, z, d)
         return (time.perf_counter() - started) * 1e6 / len(queries)
     finally:
-        ckaf.kernels._GEMV_ENTRIES = switch
+        ckaf.kernels._GEMV_ROWS = switch
 
 
 def main(argv=None) -> int:
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
                 times[form].append(chunk_us(state, queries, targets, form))
         small = statistics.median(times["GEMV"])
         large = statistics.median(times["GEMM"])
-        uses = "GEMV" if m * DIM < ckaf.kernels._GEMV_ENTRIES else "GEMM"
+        uses = "GEMV" if m < ckaf.kernels._GEMV_ROWS else "GEMM"
         print(f"| {m} | {small:.1f} µs | {large:.1f} µs | {small / large:.2f}x | {uses} |")
     return 0
 

@@ -140,6 +140,15 @@ def apply_channel(s, cfg: ChannelConfig) -> np.ndarray:
     before the start of the sequence are treated as zero. With
     ``noise_stddev = 0`` the map is a pure deterministic function.
     """
+    return _channel_pass(s, cfg)[1]
+
+
+def _channel_pass(s, cfg: ChannelConfig) -> tuple:
+    """``(q, r)``: the noiseless channel output and the received sequence, from one pass.
+
+    ``r`` is ``apply_channel(s, cfg)`` and ``q`` is ``apply_channel(s, cfg)``
+    with ``noise_stddev = 0``, bit for bit; without noise both are one array.
+    """
     sv = _as_vector(s, "s")
     taps = _complex_array(cfg.linear_taps, "linear_taps")
     t = np.convolve(sv, taps)[: sv.size]
@@ -149,10 +158,10 @@ def apply_channel(s, cfg: ChannelConfig) -> np.ndarray:
         power = power * t
         q += coeff * power
     if cfg.noise_stddev == 0:
-        return q
+        return q, q
     rng = np.random.default_rng(cfg.seed)
     noise = rng.standard_normal(sv.size) + 1j * rng.standard_normal(sv.size)
-    return q + cfg.noise_stddev * noise
+    return q, q + cfg.noise_stddev * noise
 
 
 def build_dataset(r, s, cfg: EmbeddingConfig) -> Dataset:

@@ -47,10 +47,14 @@ from typing import Optional
 
 import numpy as np
 
+# apply_channel is not called here; it stays importable from this module, where
+# benchmarks/workloads.py resolves the channel functions
 from ckaf.channel import (
     ChannelConfig,
     EmbeddingConfig,
     SignalConfig,
+    _channel_pass,
+    _require_int,
     apply_channel,
     build_dataset,
     generate_input,
@@ -129,6 +133,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"name must be a plain file name (no /, \\ or NUL, not . or ..), got {self.name!r}"
             )
+        _require_int(self.mc_runs, "mc_runs")
+        _require_int(self.master_seed, "master_seed")
         if self.mc_runs < 1:
             raise ValueError("mc_runs must be at least 1")
         if self.master_seed < 0:
@@ -240,9 +246,8 @@ def _realization(cfg: ExperimentConfig, run_index: int) -> tuple:
         signal_cfg = replace(cfg.signal, seed=int(seeds[0]))
         channel_cfg = replace(cfg.channel, seed=int(seeds[1]))
         s = generate_input(signal_cfg)
-        r = apply_channel(s, channel_cfg)
+        clean, r = _channel_pass(s, channel_cfg)
         if cfg.channel.noise_stddev > 0:
-            clean = apply_channel(s, replace(channel_cfg, noise_stddev=0.0))
             signal_power = float(np.mean(np.abs(clean) ** 2))
             noise_power = float(np.mean(np.abs(r - clean) ** 2))
         else:

@@ -76,8 +76,8 @@ import numpy as np
 
 from ckaf.documents import ConfigError, echo, parse
 from ckaf.kernels import (
-    KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite,
-    _positive_finite, kernel_vector, self_kernel,
+    REAL_GAUSSIAN, KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar,
+    _nonnegative_finite, _positive_finite, _require_real, kernel_vector, self_kernel,
 )
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -301,12 +301,15 @@ def cklms_predict(state: CklmsState, z) -> complex:
     """Kernel expansion output sum_k a(k) kappa(z, z(k)); 0 for an empty dictionary.
 
     The query is validated as in ``cklms_step`` even when the dictionary is
-    empty. Raises ArithmeticError on non-finite components and ValueError on
-    a shape that does not match the stored centers.
+    empty. Raises ArithmeticError on non-finite components, and ValueError on
+    a shape that does not match the stored centers or, for the real kernel,
+    on nonzero imaginary parts.
     """
     zv = _as_sample_vector(z)
     dictionary = state.dictionary
     if dictionary.size == 0:
+        if state.config.kernel.family == REAL_GAUSSIAN:
+            _require_real(zv, "z")
         return 0j
     centers, coefficients, _, squares = dictionary.views
     return complex(np.dot(coefficients, kernel_vector(zv, centers, state.config.kernel, squares)))

@@ -32,20 +32,23 @@ when a center is admitted, and then gets the row in the expanded form
 ``z.z - 2 conj(c).z + conj(c).conj(c)`` of ``_factored_row``: one
 matrix-vector product over the stored centers plus one ``exp`` per center,
 where the difference form builds and reduces an (m, nu) array every step.
-The dictionary stores its centers row by row, and the row's size picks its
-form. A row of fewer than ``_GEMV_ENTRIES`` (4096) entries ``m * nu`` takes
-the product as one complex GEMV, ``centers @ v``, and the complex ``exp``. A
-larger row takes the product as one real GEMM on the float64 view of the
+The dictionary stores its centers row by row, and the row's number of
+centers picks its form. A row of fewer than ``_GEMV_ROWS`` (900) centers
+takes the product as complex GEMV, ``centers @ v``, and the complex ``exp``.
+A larger row takes the product as one real GEMM on the float64 view of the
 centers and writes the complex Gaussian's ``exp`` in the half-angle tangent
 form: a real ``exp`` of the exponent's real part and one ``tan`` of half its
 imaginary part, both of which numpy runs in SIMD, where the complex ``exp``
-(like ``cos`` and ``sin``) calls scalar libm per element. The bound is set by
-BLAS threading, not by speed: with its thread count unpinned, OpenBLAS runs
-zgemv on a second thread from 4096 entries on, which makes the call slower and
-burns a second core. The two forms agree to rounding. The products' last bits come from the
-BLAS library and the kernel it dispatches to, and the SIMD ``exp`` and
-``tan`` from numpy's dispatch target, so byte-identical rows need the same
-numpy build, BLAS and CPU features.
+(like ``cos`` and ``sin``) calls scalar libm per element. The switch sits at
+the measured speed crossover of the two forms at 6 components. The GEMV is
+one call below ``_GEMV_ENTRIES`` (4096) entries ``m * nu`` and calls of
+fewer entries each from there on (``_split_gemv``), because with its thread
+count unpinned OpenBLAS runs a zgemv of 4096 entries or more on a second
+thread, which makes the call slower and burns a second core. The two forms
+agree to rounding. The products' last bits come from the BLAS library and
+the kernel it dispatches to, and the SIMD ``exp`` and ``tan`` from numpy's
+dispatch target, so byte-identical rows need the same numpy build, BLAS and
+CPU features.
 ``kernel_matrix`` and its views keep the difference form because the
 expanded form rounds differently: exact identities such as
 ``kappa(x, x) == 1`` for real ``x`` and ``rkhs_distance_sq(z, z) == 0``
@@ -83,8 +86,11 @@ LINEAR = "linear"
 _FAMILIES = (COMPLEX_GAUSSIAN, REAL_GAUSSIAN, LINEAR)
 _COMPLEX = np.dtype(np.complex128)  # native complex128 arrays carry this very instance
 _ONE_I = np.array([1.0, 1j])  # v times it is (v, i v): the two GEMM columns of a row product
-# rows of fewer entries (centers times components) take one complex GEMV and the complex exp;
-# larger rows take one real GEMM and the tangent-form exp (see ``_factored_row``)
+# rows of fewer centers take the complex GEMV and the complex exp; larger rows take one real
+# GEMM and the tangent-form exp (see ``_factored_row``)
+_GEMV_ROWS = 900
+# each GEMV call takes fewer entries (centers times components), so OpenBLAS keeps it on the
+# calling thread
 _GEMV_ENTRIES = 4096
 
 
@@ -271,37 +277,39 @@ def _factored_row(
     the two differ at most in the sign of an exactly zero real or imaginary
     part, never in a value.
 
-    The size of the row picks one of two forms. A row of fewer than
-    ``_GEMV_ENTRIES`` entries ``m * nu`` takes the product as one complex GEMV,
-    ``centers @ v``, and the complex ``exp``. A larger row takes the product as
-    one real GEMM, ``(m, 2 nu) @ (2 nu, 2)``, on the float64 view of the
-    row-major centers, whose two output columns are the real and imaginary
-    parts of ``g``; for the complex Gaussian it then writes the ``exp`` in the
-    tangent form of ``_split_conj_exp``. Centers that are not C-contiguous
-    (Fortran-ordered ones, or a strided slice) are copied first in the large
-    form, since a Fortran-ordered array has no float64 view; a dictionary's
-    centers are C-contiguous and are never copied. With ``sigma = 5`` both
-    forms agree with ``kernel_matrix`` to at most 6e-15 relative per kernel
-    value (see the README for the measured figures).
+    The number of centers picks one of two forms. A row of fewer than
+    ``_GEMV_ROWS`` centers takes the product as complex GEMV, ``centers @ v``,
+    and the complex ``exp``. A larger row takes the product as one real GEMM,
+    ``(m, 2 nu) @ (2 nu, 2)``, on the float64 view of the row-major centers,
+    whose two output columns are the real and imaginary parts of ``g``; for
+    the complex Gaussian it then writes the ``exp`` in the tangent form of
+    ``_split_conj_exp``. Centers that are not C-contiguous (Fortran-ordered
+    ones, or a strided slice) are copied first in the large form, since a
+    Fortran-ordered array has no float64 view; a dictionary's centers are
+    C-contiguous and are never copied. With ``sigma = 5`` both forms agree
+    with ``kernel_matrix`` to at most 6e-15 relative per kernel value (see the
+    README for the measured figures).
 
-    The bound counts entries because BLAS threading does. With its thread
-    count unpinned, OpenBLAS 0.3.31 runs zgemv on one thread below 4096
-    entries and on two from there on, where the call is slower and its
-    worker burns a second core (at nu 5, a median 6.5 us per call at 819
-    centers against 8.6 us at 820, and up to 54 us in a slow round). With
-    one pinned thread the GEMV form stays cheaper per step than the GEMM
-    form up to about 1000 centers, so the bound, not the speed crossover,
-    sets the switch. The GEMM stays on the calling thread unless ``m * nu``
-    is several hundred thousand.
+    ``_GEMV_ROWS`` sits at the speed crossover: with one BLAS thread, on the
+    stream data of the benchmark at 6 components, the GEMV form is the cheaper
+    one up to about 900 centers. The GEMV counts entries because BLAS
+    threading does. With its thread count unpinned, OpenBLAS 0.3.31 runs
+    zgemv on one thread below 4096 entries and on two from there on, where
+    the call is slower and its worker burns a second core (at nu 5, a median
+    6.5 us per call at 819 centers against 8.6 us at 820, and up to 54 us in
+    a slow round). So a row of ``_GEMV_ENTRIES`` entries or more takes its
+    GEMV in pieces of fewer entries (``_split_gemv``), to the same bits. The
+    GEMM stays on the calling thread unless ``m * nu`` is several hundred
+    thousand.
     """
     w = np.conj(z)
     # the complex Gaussian takes -2 g straight from the product with -2 w
     v = -2.0 * w if spec.family == COMPLEX_GAUSSIAN else w
-    small = centers.size < _GEMV_ENTRIES
+    small = centers.shape[0] < _GEMV_ROWS
     # the (m,) product is the only (m,) array: the exponent and its exp are computed in place
     # in it
     if small:
-        row = centers @ v
+        row = centers @ v if centers.size < _GEMV_ENTRIES else _split_gemv(centers, v)
     else:
         pair = np.multiply.outer(v, _ONE_I).view(np.float64).reshape(2 * v.shape[0], 2)
         row = (np.ascontiguousarray(centers).view(np.float64) @ pair).view(_COMPLEX)[:, 0]
@@ -317,6 +325,26 @@ def _factored_row(
     row *= scale
     np.exp(row, out=row)
     return np.conjugate(row, out=row)
+
+
+def _split_gemv(centers: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``centers @ v`` as complex GEMV calls of fewer than ``_GEMV_ENTRIES`` entries each.
+
+    The rows go in pieces of ``q = (_GEMV_ENTRIES - 1) // nu`` (at least two),
+    one ``np.dot`` call each (about 0.4 us cheaper per call than the ``matmul``
+    ufunc, the same zgemv), written into one (m,) array. numpy computes a
+    piece of one row as a dot product, which rounds differently from the GEMV,
+    so a last piece of one row starts a row earlier and computes that row again
+    to the same bits. Each entry is then the GEMV's of its own row, and on
+    OpenBLAS 0.3.31 the result is the single ``centers @ v`` bit for bit.
+    """
+    m, nu = centers.shape
+    q = max(2, (_GEMV_ENTRIES - 1) // nu)
+    row = np.empty(m, _COMPLEX)
+    for i in range(0, m, q):
+        i = min(i, m - 2)
+        np.dot(centers[i : i + q], v, row[i : i + q])
+    return row
 
 
 def _split_conj_exp(row: np.ndarray, scale: float) -> bool:

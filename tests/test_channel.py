@@ -12,6 +12,7 @@ from ckaf.channel import (
     ChannelConfig,
     EmbeddingConfig,
     SignalConfig,
+    _channel_pass,
     apply_channel,
     build_dataset,
     generate_input,
@@ -131,6 +132,18 @@ class TestApplyChannel:
         r = apply_channel(s, cfg)
         measured = np.mean(np.abs(r) ** 2)
         assert abs(measured - 2 * 0.3**2) < 0.01, f"noise power {measured}"
+
+    @pytest.mark.parametrize("noise_stddev", [0.0, 0.3])
+    def test_one_pass_gives_both_channel_outputs(self, noise_stddev):
+        """The one-pass pair is the noiseless and the noisy ``apply_channel`` output, byte for
+        byte; without noise the two are one array."""
+        rng = np.random.default_rng(12)
+        s = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        cfg = ChannelConfig(noise_stddev=noise_stddev, seed=31)
+        clean, received = _channel_pass(s, cfg)
+        assert clean.tobytes() == apply_channel(s, ChannelConfig(0.0, seed=31)).tobytes()
+        assert received.tobytes() == apply_channel(s, cfg).tobytes()
+        assert (received is clean) == (noise_stddev == 0.0)
 
     def test_invalid_inputs_rejected(self):
         """Empty sequences, negative noise, and missing taps are usage errors."""

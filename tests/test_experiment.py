@@ -110,6 +110,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"experiment\.signal\.sigma"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "field, value", [("mc_runs", True), ("mc_runs", 2.5), ("master_seed", 1.5)]
+    )
+    def test_non_integer_run_settings_refused_by_name(self, field, value):
+        """``mc_runs=True`` would run one realization and ``2.5`` or ``master_seed=1.5`` fail
+        only inside the run; the config refuses them, naming the field."""
+        cfg = config_from_dict(tiny_doc())
+        with pytest.raises(TypeError, match=rf"^{field} must be an int, got {value!r}$"):
+            replace(cfg, **{field: value})
+        assert getattr(replace(cfg, **{field: np.int64(3)}), field) == 3  # numpy ints are ints
+
     def test_domain_validation_names_path(self):
         """Value-range violations surface as config errors with the path."""
         doc = tiny_doc()
@@ -260,6 +271,22 @@ class TestRunExperiment:
         assert 14.0 < snr < 16.0, f"measured SNR {snr} dB out of expected band"
         clean = config_from_dict(tiny_doc(channel={"noise_stddev": 0.0}))
         assert run_experiment(clean).metadata["measured_snr_db"] is None
+
+    def test_snr_is_the_one_of_a_noisy_and_a_noiseless_channel_call(self):
+        """The measured SNR is the one of ``apply_channel`` with and without noise, summed
+        over the runs in run order, to the last bit."""
+        cfg = config_from_dict(tiny_doc(channel={"noise_stddev": 0.2}, mc_runs=3))
+        signal_power = noise_power = 0.0
+        for r in range(cfg.mc_runs):
+            signal_seed, noise_seed = np.random.SeedSequence((cfg.master_seed, r)).generate_state(2)
+            s = generate_input(replace(cfg.signal, seed=int(signal_seed)))
+            channel = replace(cfg.channel, seed=int(noise_seed))
+            received = apply_channel(s, channel)
+            clean = apply_channel(s, replace(channel, noise_stddev=0.0))
+            signal_power += float(np.mean(np.abs(clean) ** 2))
+            noise_power += float(np.mean(np.abs(received - clean) ** 2))
+        expected = float(10.0 * np.log10(signal_power / noise_power))
+        assert run_experiment(cfg).metadata["measured_snr_db"] == expected
 
     def test_curves_average_independently_seeded_runs(self):
         """Each curve is the run-order mean of runs seeded from (master_seed, r).

@@ -112,6 +112,19 @@ def gemm_product(centers, v):
     return product
 
 
+def gemv_pieces(centers, v):
+    """``centers @ v`` as the GEMV-form row computes it from 4096 entries on: one GEMV per
+    piece of ``4095 // nu`` rows, and a last piece of one row taken with the row before it,
+    because numpy computes a single row as a dot product, which rounds differently."""
+    centers = np.asarray(centers)
+    m, nu = centers.shape
+    q = 4095 // nu
+    pieces = [centers[i : i + q] @ v for i in range(0, m, q)]
+    if m % q == 1:
+        pieces[-1] = (centers[m - 2 :] @ v)[1:]
+    return np.concatenate(pieces)
+
+
 def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
     """The complex-Gaussian kernel LMS step on numpy scalars, the reference for its bits.
 
@@ -119,9 +132,10 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
     the distance adds ``kzz`` to the minimum of ``self_kernels - 2 Re kvec`` (the
     minimum of the sums, since rounding is monotone), and ``np.sqrt``/``np.abs`` act on
     numpy scalars. ``cklms_step`` folds the ``-2`` into the product, multiplies by the
-    reciprocal and works on Python scalars; the two must round identically. Below 4096
-    entries (centers times components) the product is the complex GEMV ``centers @ w``
-    and the kernel the complex ``exp``; from 4096 on the product is the real GEMM of
+    reciprocal and works on Python scalars; the two must round identically. Below
+    ``_GEMV_ROWS`` centers the product is the complex GEMV ``centers @ w``, in the pieces
+    of ``gemv_pieces`` from 4096 entries (centers times components) on, and the kernel the
+    complex ``exp``; from ``_GEMV_ROWS`` centers on the product is the real GEMM of
     ``gemm_product`` and the kernel ``exp(x) * (cos(y) + i sin(y))`` for the conjugated
     exponent ``x + iy`` is written in the half-angle tangent form ``r (1 - t**2) + 2i r
     t``, with ``t = tan(y / 2)`` and ``r = exp(x) / (1 + t**2)``, unless some ``x``
@@ -140,9 +154,11 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
             novel = True
         else:
             w = np.conj(zv)
-            split = len(centers) * len(zv) >= 4096
+            split = len(centers) >= GEMV_ROWS
             if split:
                 g = gemm_product(np.array(centers), w)
+            elif len(centers) * len(zv) >= 4096:
+                g = gemv_pieces(centers, w)
             else:
                 g = np.array(centers) @ w
             g *= -2.0
@@ -176,10 +192,11 @@ def numpy_scalar_cklms(samples, spec, mu, delta1, delta2):
 
 
 BLAS_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+GEMV_ROWS = ckaf.kernels._GEMV_ROWS  # rows of fewer centers take the GEMV form
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# rows just under the switch to the GEMM row, at 5 components, timed by per-thread CPU ticks
-# (utime + stime, fields 14 and 15 of /proc/self/task/<tid>/stat)
+# rows just under the switch to the GEMM row, at 6 components and so in pieces, timed by
+# per-thread CPU ticks (utime + stime, fields 14 and 15 of /proc/self/task/<tid>/stat)
 THREAD_TICKS_CHILD = """
 import json, os, time
 import numpy as np
@@ -195,8 +212,8 @@ def ticks():
     return counts
 
 rng = np.random.default_rng(0)
-m = (ckaf.kernels._GEMV_ENTRIES - 1) // 5
-centers = rng.standard_normal((m, 5)) + 1j * rng.standard_normal((m, 5))
+m = ckaf.kernels._GEMV_ROWS - 1
+centers = rng.standard_normal((m, 6)) + 1j * rng.standard_normal((m, 6))
 squares = np.add.reduce(centers * centers, axis=1)
 spec = complex_gaussian(5.0)
 kernel_vector(centers[0] / 2, centers, spec, squares)
@@ -271,6 +288,20 @@ class TestCklmsPredict:
         with pytest.raises(error):
             cklms_step(state, query, 0j)
 
+    def test_real_kernel_refuses_complex_query_on_empty_dictionary(self):
+        """The real kernel refuses a query with imaginary parts whether or not the dictionary
+        holds centers, as cklms_step does."""
+        state = new_cklms_state(KernelSpec("real-gaussian", 1.0), mu=1.0)
+        message = "z must have zero imaginary parts for the real kernel"
+        assert cklms_predict(state, [0.5, 2.0]) == 0j
+        with pytest.raises(ValueError, match=message):
+            cklms_step(state, [1j, 2.0], 0j)
+        with pytest.raises(ValueError, match=message):
+            cklms_predict(state, [1j, 2.0])
+        state.dictionary.append(np.array([0.5 + 0j, 2.0]), 1 + 0j, 1.0)
+        with pytest.raises(ValueError, match=message):
+            cklms_predict(state, [1j, 2.0])
+
     @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
     def test_a_posteriori_error_identity(self, family):
         """After an admitted step the error at the same input shrinks by 1 - mu kappa(z, z).
@@ -302,15 +333,20 @@ class TestKernelRow:
     @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
     @settings(max_examples=20, deadline=None)
     @given(
-        # sizes on both sides of the buffer doublings at 64, 128 and 2048 centers and of the
-        # switch to the GEMM row at 4096 entries: 683 centers of 6 components, 820 of 5
-        m=st.sampled_from([1, 63, 64, 65, 128, 129, 682, 683, 819, 820, 2048, 2049]),
+        # sizes on both sides of the buffer doublings at 64, 128 and 2048 centers, of the GEMV
+        # in pieces from 4096 entries (683 centers of 6 components, 820 of 5) and of the switch
+        # to the GEMM row at _GEMV_ROWS centers
+        m=st.sampled_from(
+            [1, 63, 64, 65, 128, 129, 682, 683, 819, 820, GEMV_ROWS - 1, GEMV_ROWS, 2048, 2049]
+        ),
         dim=st.integers(1, 6),
         sigma=st.floats(1.0, 5.0),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(m=682, dim=6, sigma=1.0, seed=1)
     @example(m=683, dim=6, sigma=1.0, seed=2)
+    @example(m=GEMV_ROWS - 1, dim=6, sigma=1.0, seed=5)
+    @example(m=GEMV_ROWS, dim=6, sigma=1.0, seed=6)
     @example(m=2048, dim=5, sigma=2.5, seed=3)
     @example(m=2049, dim=1, sigma=5.0, seed=4)
     def test_cached_squares_match_difference_form_and_survive_snapshot(
@@ -348,20 +384,21 @@ class TestKernelRow:
         return np.abs(expected)
 
     @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
-    @pytest.mark.parametrize("m", [1023, 1024])  # 4 components: the GEMM row from 1024 on
+    @pytest.mark.parametrize("m", [GEMV_ROWS - 1, GEMV_ROWS])
     @pytest.mark.parametrize("layout", ["fortran", "strided"])
     def test_noncontiguous_centers_match_difference_form(self, layout, m, family):
         """Centers that are not C-contiguous give kernel_matrix's row to 1e-13 relative, on
-        both sides of the switch to the GEMM row: a Fortran-ordered array, whose rows
-        have no float64 view, and every other row of a larger array (``points[::2]``)."""
+        both sides of the switch to the GEMM row, the GEMV side in pieces (6 components): a
+        Fortran-ordered array, whose rows have no float64 view, and every other row of a
+        larger array (``points[::2]``)."""
         spec = KernelSpec(family, 2.0)
         rng = np.random.default_rng(m)
-        points = rng.uniform(-1, 1, (2 * m + 1, 4)) + 1j * rng.uniform(-1, 1, (2 * m + 1, 4))
+        points = rng.uniform(-1, 1, (2 * m + 1, 6)) + 1j * rng.uniform(-1, 1, (2 * m + 1, 6))
         if family == "real-gaussian":
             points = points.real.astype(np.complex128)
         z = points[-1]
         centers = np.asfortranarray(points[:m]) if layout == "fortran" else points[:-1][::2]
-        assert centers.shape == (m, 4) and not centers.flags.c_contiguous
+        assert centers.shape == (m, 6) and not centers.flags.c_contiguous
         kept = centers.copy()
         squares = np.add.reduce(centers * centers, axis=1)
         row = kernel_vector(z, centers, spec, squares)
@@ -382,30 +419,49 @@ class TestKernelRow:
         monkeypatch.setattr(ckaf.kernels, "_split_conj_exp", recording)
         return calls
 
-    @pytest.mark.parametrize("dim, m", [(5, 819), (5, 820), (8, 511), (8, 512)])
-    def test_switch_counts_entries(self, dim, m, tangent_calls):
-        """A row of fewer than 4096 entries (centers times components) takes the GEMV form,
-        which never calls the tangent form; a row of 4096 or more takes the GEMM form, which
-        calls it once. On both sides of the switch, at two widths, every kernel value is
-        kernel_matrix's to 6e-15 relative at sigma = 5, the README's bound (the worst seen
-        on unit-variance inputs was 6.7e-16)."""
-        rng = np.random.default_rng(m)
+    @pytest.mark.parametrize("m", [GEMV_ROWS - 1, GEMV_ROWS])
+    @pytest.mark.parametrize("dim", [5, 6, 8])
+    def test_switch_counts_centers(self, dim, m, tangent_calls):
+        """A row of fewer than ``_GEMV_ROWS`` centers takes the GEMV form, which never calls
+        the tangent form, also from 4096 entries (centers times components) on, where the
+        GEMV runs in pieces; a row of ``_GEMV_ROWS`` centers or more takes the GEMM form,
+        which calls it once. On both sides of the switch, at three widths, every kernel
+        value is kernel_matrix's to 6e-15 relative at sigma = 5, the README's bound (the
+        worst seen on unit-variance inputs was 6.7e-16)."""
+        rng = np.random.default_rng(m * dim)
         points = rng.standard_normal((m + 1, dim)) + 1j * rng.standard_normal((m + 1, dim))
         points /= math.sqrt(2.0)
         z, centers = points[0], points[1:]
+        assert centers.size > 4096
         spec = complex_gaussian(5.0)
         row = kernel_vector(z, centers, spec, np.add.reduce(centers * centers, axis=1))
-        assert tangent_calls == ([] if m * dim < 4096 else [True])
+        assert tangent_calls == ([] if m < GEMV_ROWS else [True])
         expected = kernel_matrix(z[None], centers, spec)[0]
         assert np.all(np.abs(row - expected) <= 6e-15 * np.abs(expected))
 
+    @pytest.mark.parametrize("dim, m", [(6, 683), (5, 820), (8, 512), (6, GEMV_ROWS - 1)])
+    def test_gemv_pieces_give_the_single_gemv_bits(self, dim, m):
+        """A GEMV-form row of 4096 entries or more, computed in pieces, is the single GEMV's
+        product bit for bit, also where the last piece would hold one row (683 centers of
+        6 components, 820 of 5, 512 of 8), which numpy would compute as a dot product. The
+        linear kernel's row is the conjugated product itself."""
+        rng = np.random.default_rng(m * dim)
+        points = rng.standard_normal((m + 20, dim)) + 1j * rng.standard_normal((m + 20, dim))
+        centers = points[:m]
+        squares = np.add.reduce(centers * centers, axis=1)
+        for z in points[m:]:
+            row = kernel_vector(z, centers, linear_kernel(), squares)
+            assert row.tobytes() == np.conj(centers @ np.conj(z)).tobytes()
+            assert row.tobytes() == np.conj(gemv_pieces(centers, np.conj(z))).tobytes()
+
     @pytest.mark.skipif(not openblas_on_linux(), reason="reads OpenBLAS threads' CPU in /proc")
     def test_rows_under_the_switch_stay_on_the_calling_thread(self):
-        """With the BLAS thread count unpinned, 20 000 rows of 5 components just under the
-        switch to the GEMM row (819 centers, 4095 entries) leave every thread but the
-        caller's idle: none gains more than one tick of CPU time. From 4096 entries on
-        OpenBLAS runs zgemv on a second thread, which makes the call slower and burns a
-        second core. The child process reads only its own threads' counters."""
+        """With the BLAS thread count unpinned, 20 000 rows of 6 components just under the
+        switch to the GEMM row (``_GEMV_ROWS - 1`` centers, more than 4096 entries, so the
+        GEMV runs in pieces) leave every thread but the caller's idle: none gains more than
+        one tick of CPU time. A single zgemv of 4096 entries or more runs on a second
+        thread, which makes the call slower and burns a second core. The child process
+        reads only its own threads' counters."""
         env = {key: value for key, value in os.environ.items() if key not in BLAS_PINS}
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -416,7 +472,7 @@ class TestKernelRow:
         )
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout)
-        assert report["entries"] == 4095
+        assert report["entries"] == 6 * (GEMV_ROWS - 1) > 4096
         gains = {int(tid): ticks for tid, ticks in report["gains"].items()}
         assert gains.pop(report["caller"]) > 0
         assert all(ticks <= 1 for ticks in gains.values()), gains
@@ -425,8 +481,8 @@ class TestKernelRow:
     def large_row_and_complex_exp(z, centers, sigma):
         """The GEMM-form row of ``z`` over ``centers``, the complex exp of its scaled exponent
         computed in the row's own order, and that scaled exponent. ``centers`` must have
-        at least the switch's entries, so the row takes the GEMM form."""
-        assert centers.size >= ckaf.kernels._GEMV_ENTRIES
+        at least the switch's ``_GEMV_ROWS`` rows, so the row takes the GEMM form."""
+        assert len(centers) >= GEMV_ROWS
         spec = complex_gaussian(sigma)
         squares = np.add.reduce(centers * centers, axis=1)
         w = np.conj(z)
@@ -447,7 +503,7 @@ class TestKernelRow:
         whose tangent form must see the row and hand it back."""
         z = np.array([0.5 + 3j, -0.25 + 2j])  # large imaginary parts for a small sigma
         centers = np.array([[0.5, -0.25], [1.0, 0.5], [-0.75, 0.25], [5.0, -4.0]], dtype=complex)
-        centers = np.tile(centers, (513, 1))  # 2052 centers, 4104 entries
+        centers = np.tile(centers, (513, 1))  # 2052 centers
         with np.errstate(over="ignore", invalid="ignore"):
             row, expected, exponent = self.large_row_and_complex_exp(z, centers, sigma)
         assert tangent_calls == [False]
@@ -563,8 +619,8 @@ class TestDictionaryViews:
         assert np.array_equal(dictionary.centers, points)
 
     def test_views_are_c_contiguous_across_doublings(self):
-        """At every size, across the buffer doublings and the switch to the GEMM row at 1366
-        centers of 3 components, the views are read-only (size, dim) views of the stored
+        """At every size, across the buffer doublings and the switch to the GEMM row at
+        ``_GEMV_ROWS`` centers, the views are read-only (size, dim) views of the stored
         values, views taken before keep theirs, the centers are C-contiguous (the GEMM row
         multiplies their float64 view without a copy), and a restored dictionary has views
         equal as raw bytes."""
@@ -576,7 +632,7 @@ class TestDictionaryViews:
         taken = {}
         for k, c in enumerate(points):
             dictionary.append(c, complex(k, -k), self_kernel(c, spec))
-            if k + 1 in (1, 64, 65, 1024, 1025, 1365, 1366, 2048, 2049):
+            if k + 1 in (1, 64, 65, GEMV_ROWS - 1, GEMV_ROWS, 1024, 1025, 2048, 2049):
                 taken[k + 1] = dictionary.views
         for size, views in taken.items():
             centers = views[0]
@@ -852,10 +908,12 @@ class TestCklmsStep:
     # diverges: errors grow past 1e308 in modulus, then to inf and NaN; finite errors that
     # mu = 1.5 overflows are not admitted
     @example(seed=3, dim=5, sigma=1.0, mu=1.5, imag_scale=1.2, delta1=0.0, delta2=0.0, n=150)
-    # thresholds 0 admit all 1100 samples, across the switch to the GEMM row at 820 centers of
-    # 5 components and the buffer doubling that admits center 1025
+    # thresholds 0 admit all 1100 samples, across the GEMV in pieces from 820 centers of 5
+    # components, the switch to the GEMM row at _GEMV_ROWS and the buffer doubling that
+    # admits center 1025
     @example(seed=13, dim=5, sigma=5.0, mu=0.5, imag_scale=0.7, delta1=0.0, delta2=0.0, n=1100)
-    # thresholds 0 admit all 2100 samples, across the buffer doubling that admits center 2049
+    # thresholds 0 admit all 2100 samples, across the GEMV in pieces from 683 centers of 6
+    # components and the buffer doubling that admits center 2049
     @example(seed=11, dim=6, sigma=5.0, mu=0.5, imag_scale=0.5, delta1=0.0, delta2=0.0, n=2100)
     def test_step_bits_match_numpy_scalar_step(
         self, seed, dim, sigma, mu, imag_scale, delta1, delta2, n
@@ -880,7 +938,7 @@ class TestCklmsStep:
         if delta1 == delta2 == 0.0:  # every finite coefficient is admitted
             assert state.dictionary.size == sum(cmath.isfinite(mu * r.error) for r in records)
         if n > 1000:
-            assert state.dictionary.centers.size >= 4096, "the run must reach the GEMM row"
+            assert state.dictionary.size >= GEMV_ROWS, "the run must reach the GEMM row"
 
     def test_error_modulus_beyond_float_range(self):
         """A finite error whose modulus exceeds the float range compares as |e| = inf."""
