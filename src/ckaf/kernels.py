@@ -106,7 +106,8 @@ class KernelSpec:
         ``sigma``; it exists so a kernel filter can be compared against an
         explicit-weight LMS filter operating on the raw input space.
     sigma : float
-        Width of the Gaussian families. Must be positive and finite.
+        Width of the Gaussian families. Must be positive and finite, and its
+        square a normal, finite double: at least 2**-511 and below 2**512.
     """
 
     family: str
@@ -118,6 +119,10 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )
         _positive_finite(self.sigma, "sigma")  # an infinite width makes every kernel value 1
+        # the kernels divide by sigma**2, which overflows from 2**512 on and is subnormal below
+        # 2**-511, so that its reciprocal overflows and, further down, the square is 0
+        if not 2.0**-511 <= self.sigma < 2.0**512:
+            raise ValueError(f"sigma must be at least 2**-511 and below 2**512, got {self.sigma}")
 
 
 def complex_gaussian(sigma: float) -> KernelSpec:

@@ -25,9 +25,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ckaf.kernels import _as_pair, _as_vector, _complex_scalar, _positive_finite
+from ckaf.kernels import _as_pair, _as_vector, _complex_scalar
 
-DEFAULT_STEP = 1e-5
+DEFAULT_STEP = 1e-5  # half-width of every finite-difference probe
+_ASCENT_DIRECTIONS = 200  # random unit directions the conjugate gradient must out-climb
+_ASCENT_STEP = 1e-4  # length of the move along each ascent direction
 
 
 class WirtingerGradient(NamedTuple):
@@ -57,21 +59,19 @@ def _evaluate(func, z) -> complex:
     return value
 
 
-def numeric_wirtinger_gradient(
-    func: Callable[[np.ndarray], complex], z, step: float = DEFAULT_STEP
-) -> WirtingerGradient:
+def numeric_wirtinger_gradient(func: Callable[[np.ndarray], complex], z) -> WirtingerGradient:
     """Central-finite-difference R- and conjugate-R-derivatives of func at z.
 
     Each of the nu complex coordinates is probed along its real and imaginary
-    axes with half-width ``step``, four evaluations per coordinate. The
-    default step balances truncation against rounding error for smooth
+    axes with half-width ``DEFAULT_STEP``, four evaluations per coordinate.
+    That step balances truncation against rounding error for smooth
     functionals at double precision.
 
     Raises ArithmeticError if the evaluator returns a non-finite value at any
-    probe point, and ValueError unless ``step`` is positive and finite.
+    probe point.
     """
     zv = _as_vector(z, "z")
-    _positive_finite(step, "step")
+    step = DEFAULT_STEP
     nu = zv.shape[0]
     r = np.empty(nu, dtype=np.complex128)
     conj_r = np.empty(nu, dtype=np.complex128)
@@ -85,7 +85,7 @@ def numeric_wirtinger_gradient(
     return WirtingerGradient(r, conj_r)
 
 
-def check_inner_product_gradients(w, probe, step: float = DEFAULT_STEP) -> float:
+def check_inner_product_gradients(w, probe) -> float:
     """Worst deviation of the four inner-product gradients from closed form.
 
     The four functionals of f and their (R, conjugate-R) gradients are
@@ -108,7 +108,7 @@ def check_inner_product_gradients(w, probe, step: float = DEFAULT_STEP) -> float
     ]
     worst = 0.0
     for func, expected_r, expected_conj in cases:
-        g = numeric_wirtinger_gradient(func, pv, step)
+        g = numeric_wirtinger_gradient(func, pv)
         worst = max(
             worst,
             float(np.max(np.abs(g.r_derivative - expected_r))),
@@ -117,9 +117,7 @@ def check_inner_product_gradients(w, probe, step: float = DEFAULT_STEP) -> float
     return worst
 
 
-def check_taylor_first_order(
-    func: Callable[[np.ndarray], complex], z, h, step: float = DEFAULT_STEP
-) -> float:
+def check_taylor_first_order(func: Callable[[np.ndarray], complex], z, h) -> float:
     """Residual of the first-order expansion T(z+h) about z.
 
     The prediction is ``T(z) + sum_i h_i r_i + sum_i conj(h_i) c_i`` with
@@ -130,7 +128,7 @@ def check_taylor_first_order(
     ``2 Re <h, conj(c)-slot form>``; no special casing is needed.
     """
     zv, hv = _as_pair(z, h, names=("z", "h"))
-    g = numeric_wirtinger_gradient(func, zv, step)
+    g = numeric_wirtinger_gradient(func, zv)
     predicted = (
         _evaluate(func, zv)
         + np.sum(hv * g.r_derivative)
@@ -139,41 +137,30 @@ def check_taylor_first_order(
     return float(abs(_evaluate(func, zv + hv) - predicted))
 
 
-def check_steepest_ascent(
-    func: Callable[[np.ndarray], complex],
-    z,
-    n_directions: int = 200,
-    step: float = 1e-4,
-    rng=None,
-) -> bool:
+def check_steepest_ascent(func: Callable[[np.ndarray], complex], z, rng=None) -> bool:
     """True when the conjugate-gradient direction out-climbs random ones.
 
     For a real-valued functional the direction of steepest increase is the
-    conjugate R-derivative. The check draws ``n_directions`` random unit
-    vectors, adds the normalized conjugate gradient, moves ``step`` along
-    each, and reports whether the gradient direction achieved the largest
-    increase of Re T.
+    conjugate R-derivative. The check draws 200 random unit vectors, adds
+    the normalized conjugate gradient, moves 1e-4 along each, and reports
+    whether the gradient direction achieved the largest increase of Re T.
 
     Raises ValueError when the conjugate gradient vanishes at z, since no
-    ascent direction is then defined, when ``n_directions`` is below 1 and
-    unless ``step`` is positive and finite.
+    ascent direction is then defined.
     """
     zv = _as_vector(z, "z")
-    _positive_finite(step, "step")  # min(step, DEFAULT_STEP) below would let inf through
-    if n_directions < 1:  # with no random direction the check would pass without a comparison
-        raise ValueError(f"n_directions must be at least 1, got {n_directions}")
     gen = np.random.default_rng(rng)
-    g = numeric_wirtinger_gradient(func, zv, min(step, DEFAULT_STEP)).conj_r_derivative
+    g = numeric_wirtinger_gradient(func, zv).conj_r_derivative
     norm = float(np.linalg.norm(g))
     if norm < 1e-12:
         raise ValueError("conjugate gradient vanishes at z; no ascent direction")
     base = _evaluate(func, zv).real
 
     def increase(direction):
-        return _evaluate(func, zv + step * direction).real - base
+        return _evaluate(func, zv + _ASCENT_STEP * direction).real - base
 
     best_random = -np.inf
-    for _ in range(n_directions):
+    for _ in range(_ASCENT_DIRECTIONS):
         d = gen.standard_normal(zv.shape[0]) + 1j * gen.standard_normal(zv.shape[0])
         d /= np.linalg.norm(d)
         best_random = max(best_random, increase(d))

@@ -2,13 +2,18 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ckaf.cli
-from ckaf.cli import default_config_path, main
+import ckaf.wirtinger
+from ckaf.cli import _RATIO_TOLERANCE, _first_order_ratio, default_config_path, main
 from ckaf.experiment import load_config_file
 from ckaf.kernels import real_gaussian
+from ckaf.wirtinger import standard_battery
 
 TINY_CONFIG = {
     "name": "smoke",
@@ -22,6 +27,30 @@ TINY_CONFIG = {
     "mc_runs": 2,
     "master_seed": 5,
 }
+
+
+_numeric_gradient = ckaf.wirtinger.numeric_wirtinger_gradient
+
+
+def _conj_off_by_ten_percent(func, z):
+    """numeric_wirtinger_gradient with its conjugate R-derivative 10% too large."""
+    g = _numeric_gradient(func, z)
+    return g._replace(conj_r_derivative=1.1 * g.conj_r_derivative)
+
+
+def _first_order_draws(seed):
+    """The (func, z, h) triples that verify-wirtinger's first-order check takes at ``seed``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(25):  # the inner-product check draws its w and probe first
+        rng.standard_normal(4 * int(rng.integers(1, 9)))
+    return [
+        (
+            case.func,
+            0.5 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+            1e-4 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)),
+        )
+        for case in standard_battery(4, rng=rng)
+    ]
 
 
 @pytest.fixture()
@@ -160,6 +189,20 @@ class TestEqualize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e-200])
+    def test_width_whose_square_is_not_a_normal_double_exits_2(self, capsys, tmp_path, sigma):
+        """A width whose square overflows or is subnormal is refused at load, where it failed
+        the first step with exit 1 (OverflowError, or float division by zero)."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["algorithms"][0]["sigma"] = sigma
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        message = f"experiment.algorithms[0]: sigma must be at least 2**-511 and below 2**512, got {sigma}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -223,6 +266,45 @@ class TestVerificationCommands:
         assert main(["verify-wirtinger", "--seed", "123"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", ["3", "115", "126", "129", "190"])
+    def test_verify_wirtinger_passes_correct_gradients_at_large_residuals(self, capsys, seed):
+        """At these seeds the first-order residual of correct gradients on the squared-error
+        loss exceeds 1e-6 (1.329e-06 at seed 3), an absolute bound that failed them; the
+        residual is second order, so halving h quarters it."""
+        assert main(["verify-wirtinger", "--seed", seed]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_verify_wirtinger_fails_a_conjugate_gradient_off_by_ten_percent(
+        self, capsys, monkeypatch
+    ):
+        """A conjugate R-derivative 10% too large leaves a first-order residual, which halving
+        h only halves: the first-order line fails and the command exits 1."""
+        monkeypatch.setattr(ckaf.wirtinger, "numeric_wirtinger_gradient", _conj_off_by_ten_percent)
+        assert main(["verify-wirtinger"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("FAIL first-order expansion: max residual ratio 0.50")
+        assert "first-order expansion" in lines[-1]
+
+    def test_first_order_ratio_separates_correct_from_wrong_gradients(self, monkeypatch):
+        """On the first-order draws of every seed from 0 to 199, correct gradients read at most
+        0.2501, and a conjugate R-derivative 10% off reads above the tolerance at each seed."""
+        def worst(seed):
+            return max(_first_order_ratio(*draw) for draw in _first_order_draws(seed))
+
+        assert max(worst(seed) for seed in range(200)) <= 0.2501
+        monkeypatch.setattr(ckaf.wirtinger, "numeric_wirtinger_gradient", _conj_off_by_ten_percent)
+        assert min(worst(seed) for seed in range(200)) > _RATIO_TOLERANCE
+
+    def test_readme_verify_examples_pass(self, capsys):
+        """Every ``ckaf verify-*`` line of the README's "Benchmark harness" block exits 0."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Benchmark harness", 1)[1].split("```sh\n", 1)[1].split("```")[0]
+        examples = [line for line in block.splitlines() if line.startswith("ckaf verify-")]
+        assert examples
+        for line in examples:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+            assert "FAIL" not in capsys.readouterr().out, line
+
     def test_verify_wirtinger_rejects_a_negative_seed(self, capsys):
         """A seed the random generator cannot take is a usage error, not a traceback."""
         assert main(["verify-wirtinger", "--seed", "-1"]) == 2
@@ -285,6 +367,10 @@ class TestVerificationCommands:
         for sigma in ("0", "nan", "inf", "-1"):
             assert main(["verify-kernel", "--sigma", sigma]) == 2
             message = f"error: --sigma: sigma must be positive and finite, got {float(sigma)}"
+            assert message in capsys.readouterr().err
+        for sigma in ("1e200", "1e-200"):  # OverflowError and ZeroDivisionError tracebacks before
+            assert main(["verify-kernel", "--sigma", sigma]) == 2
+            message = f"error: --sigma: sigma must be at least 2**-511 and below 2**512, got {float(sigma)}"
             assert message in capsys.readouterr().err
 
 

@@ -491,16 +491,19 @@ class TestKernelRow:
         row = kernel_vector(z, centers, spec, squares)
         return row, np.conj(np.exp(exponent)), exponent
 
-    @pytest.mark.parametrize("sigma", [0.1, 1e-155], ids=["real-part-overflows", "scale-is-inf"])
+    @pytest.mark.parametrize(
+        "sigma", [0.1, 2.0**-511], ids=["real-part-overflows", "smallest-width"]
+    )
     def test_overflowing_exponent_takes_the_complex_exp(self, sigma, tangent_calls):
         """A GEMM-form row whose exponent's real part overflows is the complex exp of the
         same exponent entry by entry, inf and NaN in the same places.
 
         At sigma = 0.1 the first center's exponent is real and about 1300, so its kernel
-        value is inf + 0j where the split exp(x) * sin(y) would give inf * 0 = NaN. At
-        sigma = 1e-155 the factor -1 / sigma**2 is -inf and the complex exp gives NaN
-        imaginary parts. The four centers are repeated past the switch to the GEMM row,
-        whose tangent form must see the row and hand it back."""
+        value is inf + 0j where the split exp(x) * sin(y) would give inf * 0 = NaN. At the
+        smallest width KernelSpec accepts, 2**-511, the factor -1 / sigma**2 is -2**1022,
+        so both parts of the exponent overflow and the complex exp gives NaN imaginary
+        parts. The four centers are repeated past the switch to the GEMM row, whose tangent
+        form must see the row and hand it back."""
         z = np.array([0.5 + 3j, -0.25 + 2j])  # large imaginary parts for a small sigma
         centers = np.array([[0.5, -0.25], [1.0, 0.5], [-0.75, 0.25], [5.0, -4.0]], dtype=complex)
         centers = np.tile(centers, (513, 1))  # 2052 centers
@@ -508,8 +511,9 @@ class TestKernelRow:
             row, expected, exponent = self.large_row_and_complex_exp(z, centers, sigma)
         assert tangent_calls == [False]
         assert not np.max(exponent.real) < 700.0
-        assert expected[0].real == math.inf
-        assert expected[0].imag == 0.0 if sigma == 0.1 else math.isnan(expected[0].imag)
+        assert expected[0].real == math.inf and expected[0].imag == 0.0
+        if sigma != 0.1:
+            assert math.isnan(expected[1].imag)
         assert np.array_equal(np.isnan(row), np.isnan(expected))
         assert np.array_equal(np.isinf(row.real), np.isinf(expected.real))
         assert np.array_equal(np.isinf(row.imag), np.isinf(expected.imag))

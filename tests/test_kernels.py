@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestKernelSpec:
         """sigma must be strictly positive."""
         with pytest.raises(ValueError, match="sigma"):
             KernelSpec("complex-gaussian", 0.0)
+
+    @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian"])
+    def test_sigma_squared_must_be_a_normal_finite_double(self, family):
+        """The kernels divide by sigma**2, which overflows from 2**512 on (OverflowError at the
+        first filter step) and is subnormal below 2**-511 (its reciprocal overflows, and below
+        about 1e-162 the square is 0). Both ends are refused at their boundary values; the
+        widths just inside them are kept and give finite kernel values."""
+        for sigma in (math.nextafter(2.0**-511, 0.0), 1e-200, 2.0**512, 1e200):
+            message = f"sigma must be at least 2**-511 and below 2**512, got {sigma}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                KernelSpec(family, sigma)
+        x = np.array([[0.0], [1.0]])
+        for sigma, off_diagonal in ((2.0**-511, 0.0), (math.nextafter(2.0**512, 0.0), 1.0)):
+            K = kernel_matrix(x, x, KernelSpec(family, sigma))
+            np.testing.assert_array_equal(K, [[1.0, off_diagonal], [off_diagonal, 1.0]])
 
     def test_factory_helpers(self):
         """Shorthand constructors produce the matching family."""

@@ -1,7 +1,5 @@
 """Unit tests for the numerical Wirtinger-calculus checks."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -58,17 +56,18 @@ class TestNumericGradient:
         with pytest.raises(ValueError):
             numeric_wirtinger_gradient(lambda z: 0j, [])
 
-    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
-    def test_step_must_be_positive_and_finite(self, step):
-        """A zero step divided by zero; a negative, NaN or infinite one is no probe either.
-        The two checks that take a step pass it on and refuse it the same way."""
-        message = f"^step must be positive and finite, got {step}$"
-        with pytest.raises(ValueError, match=message):
-            numeric_wirtinger_gradient(np.sum, [0.5], step=step)
-        with pytest.raises(ValueError, match=message):
-            check_inner_product_gradients([1.0], [0.5], step=step)
-        with pytest.raises(ValueError, match=message):
-            check_taylor_first_order(np.sum, [0.5], [1e-4], step=step)
+    def test_probe_settings_are_not_parameters(self):
+        """The finite-difference step and the ascent check's directions and move are module
+        constants: no caller sets them, so passing one is a TypeError."""
+        with pytest.raises(TypeError):
+            numeric_wirtinger_gradient(np.sum, [0.5], step=1e-6)
+        with pytest.raises(TypeError):
+            check_inner_product_gradients([1.0], [0.5], step=1e-6)
+        with pytest.raises(TypeError):
+            check_taylor_first_order(np.sum, [0.5], [1e-4], step=1e-6)
+        for setting in ({"n_directions": 10}, {"step": 1e-3}):
+            with pytest.raises(TypeError):
+                check_steepest_ascent(lambda v: complex(np.sum(v.real)), [0.3j], **setting)
 
 
 class TestBatteryCharacter:
@@ -186,7 +185,7 @@ class TestSteepestAscent:
     def test_radial_function(self):
         """For |z|^2 at z = 1 the gradient direction wins."""
         assert check_steepest_ascent(
-            lambda v: complex(np.vdot(v, v).real), [1.0 + 0j], n_directions=100, rng=2
+            lambda v: complex(np.vdot(v, v).real), [1.0 + 0j], rng=2
         )
 
     def test_real_part_gradient(self):
@@ -194,7 +193,7 @@ class TestSteepestAscent:
         g = numeric_wirtinger_gradient(lambda v: complex(np.sum(v.real)), [0.3 + 0.4j])
         assert g.conj_r_derivative[0] == pytest.approx(0.5, abs=1e-9)
         assert check_steepest_ascent(
-            lambda v: complex(np.sum(v.real)), [0.3 + 0.4j], n_directions=100, rng=3
+            lambda v: complex(np.sum(v.real)), [0.3 + 0.4j], rng=3
         )
 
     def test_squared_error_loss_direction(self):
@@ -203,27 +202,12 @@ class TestSteepestAscent:
         phi = random_vector(rng, 4)
         d = complex(rng.standard_normal() + 1j * rng.standard_normal())
         w = random_vector(rng, 4)
-        assert check_steepest_ascent(squared_error_loss(phi, d), w, n_directions=200, rng=4)
+        assert check_steepest_ascent(squared_error_loss(phi, d), w, rng=4)
 
     def test_zero_gradient_rejected(self):
         """A vanishing conjugate gradient has no ascent direction."""
         with pytest.raises(ValueError, match="gradient"):
             check_steepest_ascent(lambda v: complex(np.vdot(v, v).real), [0j], rng=5)
-
-    @pytest.mark.parametrize("n_directions", [0, -5])
-    def test_no_random_direction_rejected(self, n_directions):
-        """With no random direction to beat the check would pass without a comparison."""
-        message = f"^n_directions must be at least 1, got {n_directions}$"
-        with pytest.raises(ValueError, match=message):
-            check_steepest_ascent(
-                lambda v: complex(np.sum(v.real)), [0.3j], n_directions=n_directions
-            )
-
-    @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf])
-    def test_step_must_be_positive_and_finite(self, step):
-        """The move along each direction must be a positive finite length."""
-        with pytest.raises(ValueError, match=f"^step must be positive and finite, got {step}$"):
-            check_steepest_ascent(lambda v: complex(np.sum(v.real)), [0.3j], step=step)
 
 
 class TestSquaredErrorLossGradient:
