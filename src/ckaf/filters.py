@@ -76,8 +76,8 @@ import numpy as np
 
 from ckaf.documents import ConfigError, echo, parse
 from ckaf.kernels import (
-    REAL_GAUSSIAN, KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar,
-    _nonnegative_finite, _positive_finite, _require_real, kernel_vector, self_kernel,
+    KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite,
+    _positive_finite, kernel_vector, self_kernel,
 )
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -302,14 +302,11 @@ def cklms_predict(state: CklmsState, z) -> complex:
 
     The query is validated as in ``cklms_step`` even when the dictionary is
     empty. Raises ArithmeticError on non-finite components, and ValueError on
-    a shape that does not match the stored centers or, for the real kernel,
-    on nonzero imaginary parts.
+    a shape that does not match the stored centers.
     """
     zv = _as_sample_vector(z)
     dictionary = state.dictionary
     if dictionary.size == 0:
-        if state.config.kernel.family == REAL_GAUSSIAN:
-            _require_real(zv, "z")
         return 0j
     centers, coefficients, _, squares = dictionary.views
     return complex(np.dot(coefficients, kernel_vector(zv, centers, state.config.kernel, squares)))
@@ -640,9 +637,8 @@ def restore_state(doc):
     such as a negative iteration or non-finite weights, as a ValueError at
     path ``snapshot``. States that no run of the filter could reach are
     refused too: a linear algorithm that disagrees with ``g``, unequal center
-    and coefficient counts, non-finite centers or coefficients, centers of
-    unequal widths and, for the real kernel, centers with nonzero imaginary
-    parts. The last two name the center's path, as in
+    and coefficient counts, non-finite centers or coefficients, and centers of
+    unequal widths, which name the center's path, as in
     ``snapshot.centers[1]: ...``.
     """
     # a document that is not an object is refused by parse
@@ -671,7 +667,7 @@ def restore_state(doc):
             raise ValueError(f"snapshot center {k} has non-finite components")
         if not cmath.isfinite(coefficient):
             raise ValueError(f"snapshot coefficient {k} is not finite")
-        try:  # a center of another width, or a complex center for the real kernel
+        try:  # a center of another width
             state.dictionary.append(center, coefficient, self_kernel(center, config.kernel))
         except ValueError as exc:
             raise ValueError(f"snapshot.centers[{k}]: {exc}") from exc

@@ -1,10 +1,10 @@
 """Gaussian kernels on complex vectors, Gram matrices, and RKHS geometry.
 
 This module provides the kernel evaluations used by the kernel LMS filters:
-the complex Gaussian kernel, its real-input restriction, and a linear kernel
-used as a diagnostic swap-in. It also builds Gram matrices, checks positive
-semidefiniteness spectrally, and computes squared RKHS distances between
-feature-space images of points.
+the complex Gaussian kernel, the real Gaussian kernel on C^nu read as
+R^(2 nu), and a linear kernel used as a diagnostic swap-in. It also builds
+Gram matrices, checks positive semidefiniteness spectrally, and computes
+squared RKHS distances between feature-space images of points.
 
 Every kernel value but the kernel filter's dictionary rows (see below)
 comes from one function, ``_difference_form``, the body of
@@ -21,9 +21,8 @@ and object arrays raise TypeError naming the argument. Shapes have three
 rules, each written once here and used by every module: one vector
 (``_as_vector``: 1-D with at least one component), one pair of vectors of
 equal length (``_as_pair``) and one pair of ``(n, nu)`` and ``(m, nu)`` row
-arrays with ``nu >= 1`` (``_as_rows``). The real family also requires zero
-imaginary parts. Every shape error is a ValueError that names the argument,
-and a length mismatch names both.
+arrays with ``nu >= 1`` (``_as_rows``). Every shape error is a ValueError
+that names the argument, and a length mismatch names both.
 
 ``kernel_matrix`` evaluates the Gaussian exponents in the difference form
 ``sum_i (z_i - conj(c_i))**2``. The kernel filter instead passes
@@ -70,6 +69,17 @@ positive semidefinite, but the diagonal is not identically one:
 
 with equality only for real ``z``. Code that assumes unit self-kernels
 (as holds for the real Gaussian kernel) will be wrong off the real subspace.
+
+The real Gaussian kernel reads each complex vector as its stacked real
+coordinates ``(Re z, Im z)``:
+
+    kappa_R(z, w) = exp(-sum_i |z_i - w_i|**2 / sigma**2)
+
+It is real, symmetric, 1 on the diagonal, and the complex Gaussian's
+restriction to real inputs. ``2 * kappa_R`` is the kernel of the
+complexified real RKHS (Bouboulis and Theodoridis, IEEE TSP 2011), so a
+kernel filter on that kernel at step ``mu`` and novelty distance ``delta1``
+is this family at ``2 * mu`` and ``delta1 / sqrt(2)``.
 """
 
 from __future__ import annotations
@@ -102,9 +112,12 @@ class KernelSpec:
     ----------
     family : str
         One of ``"complex-gaussian"``, ``"real-gaussian"`` or ``"linear"``.
-        The linear family ``kappa(z, w) = sum_i z_i * conj(w_i)`` ignores
-        ``sigma``; it exists so a kernel filter can be compared against an
-        explicit-weight LMS filter operating on the raw input space.
+        The real family is the real Gaussian kernel on the stacked real
+        coordinates ``(Re z, Im z)`` and takes complex inputs like the
+        others. The linear family ``kappa(z, w) = sum_i z_i * conj(w_i)``
+        ignores ``sigma``; it exists so a kernel filter can be compared
+        against an explicit-weight LMS filter operating on the raw input
+        space.
     sigma : float
         Width of the Gaussian families. Must be positive and finite, and its
         square a normal, finite double: at least 2**-511 and below 2**512.
@@ -190,36 +203,28 @@ def _as_vector(z, name: str) -> np.ndarray:
     return v
 
 
-def _as_pair(z, w, spec: KernelSpec | None = None, names=("z", "w")):
-    """Two vectors of one length: the one pair rule; real for the real family."""
-    return _matched(_as_vector(z, names[0]), _as_vector(w, names[1]), spec, names)
+def _as_pair(z, w, names=("z", "w")):
+    """Two vectors of one length: the one pair rule."""
+    return _matched(_as_vector(z, names[0]), _as_vector(w, names[1]), names)
 
 
-def _as_rows(Z, C, spec: KernelSpec | None = None, names=("Z", "C")):
+def _as_rows(Z, C, names=("Z", "C")):
     """(n, nu) and (m, nu) complex arrays with nu >= 1: the one row-pair rule; n and m may be 0."""
     pair = _complex_array(Z, names[0]), _complex_array(C, names[1])
     for a, name in zip(pair, names):
         if a.ndim != 2 or a.shape[1] == 0:
             raise ValueError(f"{name} must be an (n, nu) array with nu >= 1, got shape {a.shape}")
-    return _matched(*pair, spec, names)
+    return _matched(*pair, names)
 
 
-def _matched(a: np.ndarray, b: np.ndarray, spec: KernelSpec | None, names):
-    """Refuse ``a`` and ``b`` unless their last axes agree and, for the real family, are real."""
+def _matched(a: np.ndarray, b: np.ndarray, names):
+    """Refuse ``a`` and ``b`` unless their last axes agree."""
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(
             f"dimension mismatch: {a.shape[-1]} components in {names[0]}, "
             f"{b.shape[-1]} in {names[1]}"
         )
-    if spec is not None and spec.family == REAL_GAUSSIAN:
-        _require_real(a, names[0])
-        _require_real(b, names[1])
     return a, b
-
-
-def _require_real(v: np.ndarray, name: str):
-    if np.any(v.imag != 0.0):
-        raise ValueError(f"{name} must have zero imaginary parts for the real kernel")
 
 
 def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
@@ -242,9 +247,9 @@ def kernel_matrix(Z, C, spec: KernelSpec) -> np.ndarray:
     -------
     ndarray, shape (n, m)
         Complex dtype for the complex-Gaussian and linear families, float
-        for the real family, whose inputs must have zero imaginary parts.
+        for the real family.
     """
-    return _difference_form(*_as_rows(Z, C, spec), spec)
+    return _difference_form(*_as_rows(Z, C), spec)
 
 
 def _difference_form(Zm: np.ndarray, Cm: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -255,8 +260,8 @@ def _difference_form(Zm: np.ndarray, Cm: np.ndarray, spec: KernelSpec) -> np.nda
         diff = Zm[:, None] - np.conj(Cm)
         return np.exp(-np.add.reduce(diff * diff, axis=-1) / spec.sigma**2)
     if spec.family == REAL_GAUSSIAN:
-        d = Zm.real[:, None] - Cm.real
-        return np.exp(-np.add.reduce(d * d, axis=-1) / spec.sigma**2)
+        d = Zm[:, None] - Cm
+        return np.exp(-np.add.reduce(d.real * d.real + d.imag * d.imag, axis=-1) / spec.sigma**2)
     return Zm @ np.conj(Cm).T
 
 
@@ -269,10 +274,13 @@ def _factored_row(
     array and ``squares[k] == sum_i centers[k, i]**2``. One matrix-vector
     product ``g = centers @ conj(z)`` serves every family. With ``w =
     conj(z)``, ``conj(kappa) = exp(-(w.w - 2 g + squares) / sigma**2)`` for
-    the complex Gaussian, ``kappa = exp(-(x.x - 2 Re g + Re squares) / sigma**2)``
-    for the real Gaussian on ``x = Re z``, and ``kappa = conj(g)`` for the linear
-    kernel. The result agrees with ``kernel_matrix(z[None], centers, spec)[0]``
-    to rounding, and has its dtype.
+    the complex Gaussian, ``kappa = exp(-(|z|^2 - 2 Re g + |c|^2) / sigma**2)``
+    for the real Gaussian, with ``|c|^2 = Re squares + 2 sum_i Im(c_i)**2``, and
+    ``kappa = conj(g)`` for the linear kernel. On real data every imaginary
+    term the real Gaussian adds is ``+0.0``, so there its row is bit for bit
+    that of real arithmetic on the real parts. The result agrees with
+    ``kernel_matrix(z[None], centers, spec)[0]`` to rounding, and has its
+    dtype.
 
     The complex Gaussian branch takes ``-2 g`` straight from the product with
     ``-2 w`` (scaling by a power of two is exact, so this is ``-2 * g`` bit for
@@ -321,7 +329,9 @@ def _factored_row(
     if spec.family == LINEAR:
         return np.conjugate(row, out=row)
     if spec.family == REAL_GAUSSIAN:
-        return np.exp((z.real @ z.real - 2.0 * row.real + squares.real) / -spec.sigma**2)
+        y = centers.imag  # |c|^2 = Re(c.c) + 2 |Im c|^2; the Im terms are +0.0 on real data
+        c_sq = squares.real + 2.0 * np.add.reduce(y * y, axis=1)
+        return np.exp((z.real @ z.real + z.imag @ z.imag - 2.0 * row.real + c_sq) / -spec.sigma**2)
     row += np.add.reduce(w * w)
     row += squares
     scale = -1.0 / spec.sigma**2
@@ -389,7 +399,7 @@ def _split_conj_exp(row: np.ndarray, scale: float) -> bool:
 
 def _pair_value(z, w, spec: KernelSpec, names=("z", "w")):
     """kappa(z, w) as the single entry of a 1 x 1 kernel matrix."""
-    zv, wv = _as_pair(z, w, spec, names)
+    zv, wv = _as_pair(z, w, names)
     return _difference_form(zv[None], wv[None], spec)[0, 0]
 
 
@@ -416,11 +426,12 @@ def eval_complex_gaussian(z, w, spec: KernelSpec) -> complex:
 
 
 def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
-    """Evaluate the real Gaussian kernel on real-valued inputs.
+    """Evaluate the real Gaussian kernel on the stacked coordinates ``(Re, Im)``.
 
-    Inputs may be stored with complex dtype but must have zero imaginary
-    parts. The value equals ``exp(-||x - y||**2 / sigma**2)``, which is the
-    restriction of the complex Gaussian kernel to the real subspace.
+    The value equals ``exp(-sum_i |x_i - y_i|**2 / sigma**2)``. On real
+    inputs it is the restriction of the complex Gaussian kernel to the real
+    subspace; on complex inputs it is the real Gaussian of the two vectors
+    read as points of R^(2 nu).
     """
     if spec.family != REAL_GAUSSIAN:
         raise ValueError(f"spec has family {spec.family!r}, expected {REAL_GAUSSIAN!r}")
@@ -468,9 +479,6 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
         raise ValueError(
             f"centers must have shape (m, {zv.shape[0]}), got {c.shape}"
         )
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(zv, "z")
-        _require_real(c, "centers")
     if squares is None:
         row = _difference_form(zv[None], c, spec)[0]
     else:
@@ -487,12 +495,9 @@ def self_kernel(z, spec: KernelSpec) -> float:
     For the complex Gaussian family this is ``exp(4 * sum Im(z)^2 / sigma^2)``,
     the squared RKHS norm of the feature image of ``z``. It grows without
     bound in the imaginary parts, which is what destabilizes large step sizes
-    in the kernel LMS update.
+    in the kernel LMS update. The real family's is 1 on every input.
     """
-    zv = _as_vector(z, "z")
-    if spec.family == REAL_GAUSSIAN:
-        _require_real(zv, "z")
-    return _self_value(zv, spec)
+    return _self_value(_as_vector(z, "z"), spec)
 
 
 def _self_value(zv: np.ndarray, spec: KernelSpec) -> float:
@@ -525,7 +530,7 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
     if p.ndim == 1:
         # a flat sequence is read as N scalar points in C^1
         p = p[:, None]
-    p, _ = _as_rows(p, p, spec, ("points", "points"))
+    p, _ = _as_rows(p, p, ("points", "points"))
     if p.shape[0] == 0:
         raise ValueError(f"points must be non-empty, got shape {p.shape}")
     return _difference_form(p, p, spec)
@@ -571,7 +576,7 @@ def rkhs_distance_sq(z, c, spec: KernelSpec) -> float:
     with ``d2_k`` the unclamped squared distance to center ``k``, with
     ``delta1``.
     """
-    zv, cv = _as_pair(z, c, spec, ("z", "c"))
+    zv, cv = _as_pair(z, c, ("z", "c"))
     value = (
         _self_value(zv, spec)
         + _self_value(cv, spec)

@@ -235,6 +235,21 @@ class TestEqualize:
         stdout = capsys.readouterr().out
         assert "steady-state MSE" in stdout
 
+    def test_real_gaussian_cklms_runs_on_complex_data(self, tmp_path):
+        """The complexified CKLMS, the real Gaussian on (Re z, Im z), runs over the default
+        complex channel and writes its column."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["algorithms"].append(
+            {"algorithm": "cklms", "mu": 0.5, "kernel": "real-gaussian", "label": "complexified"}
+        )
+        config = tmp_path / "complexified.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 0
+        header, *rows = (out / "smoke.csv").read_text().splitlines()
+        assert header == "iteration,cklms_mse_db,nclms_mse_db,complexified_mse_db"
+        assert rows and all(math.isfinite(float(row.split(",")[3])) for row in rows)
+
     def test_json_format(self, tiny_config_file, tmp_path):
         """--format json emits the JSON document instead."""
         out = tmp_path / "results"

@@ -288,20 +288,6 @@ class TestCklmsPredict:
         with pytest.raises(error):
             cklms_step(state, query, 0j)
 
-    def test_real_kernel_refuses_complex_query_on_empty_dictionary(self):
-        """The real kernel refuses a query with imaginary parts whether or not the dictionary
-        holds centers, as cklms_step does."""
-        state = new_cklms_state(KernelSpec("real-gaussian", 1.0), mu=1.0)
-        message = "z must have zero imaginary parts for the real kernel"
-        assert cklms_predict(state, [0.5, 2.0]) == 0j
-        with pytest.raises(ValueError, match=message):
-            cklms_step(state, [1j, 2.0], 0j)
-        with pytest.raises(ValueError, match=message):
-            cklms_predict(state, [1j, 2.0])
-        state.dictionary.append(np.array([0.5 + 0j, 2.0]), 1 + 0j, 1.0)
-        with pytest.raises(ValueError, match=message):
-            cklms_predict(state, [1j, 2.0])
-
     @pytest.mark.parametrize("family", ["complex-gaussian", "real-gaussian", "linear"])
     def test_a_posteriori_error_identity(self, family):
         """After an admitted step the error at the same input shrinks by 1 - mu kappa(z, z).
@@ -312,8 +298,6 @@ class TestCklmsPredict:
         """
         rng = np.random.default_rng(0)
         samples = random_samples(rng, 600, 5)
-        if family == "real-gaussian":  # the real kernel takes real inputs only
-            samples = [(z.real.astype(complex), d) for z, d in samples]
         spec, mu = KernelSpec(family, 5.0), 0.3
         state = new_cklms_state(spec, mu, NoveltyConfig(0.1, 0.05))
         admitted = 0
@@ -361,8 +345,6 @@ class TestKernelRow:
         rng = np.random.default_rng(seed)
         # components in [-1, 1] with dim <= 6 and sigma >= 1 keep every value finite
         points = rng.uniform(-1, 1, (m + 1, dim)) + 1j * rng.uniform(-1, 1, (m + 1, dim))
-        if family == "real-gaussian":
-            points = points.real.astype(np.complex128)
         z, centers = points[0], points[1:]
         state = new_cklms_state(spec, mu=1.0)
         for c in centers:
@@ -394,8 +376,6 @@ class TestKernelRow:
         spec = KernelSpec(family, 2.0)
         rng = np.random.default_rng(m)
         points = rng.uniform(-1, 1, (2 * m + 1, 6)) + 1j * rng.uniform(-1, 1, (2 * m + 1, 6))
-        if family == "real-gaussian":
-            points = points.real.astype(np.complex128)
         z = points[-1]
         centers = np.asfortranarray(points[:m]) if layout == "fortran" else points[:-1][::2]
         assert centers.shape == (m, 6) and not centers.flags.c_contiguous
@@ -1213,12 +1193,20 @@ class TestLinearBlock:
             run_block(data["inputs"], data["targets"], "wl_nclms", LinearLmsConfig(mu=0.1))
         assert (info.value.run, info.value.iteration) == (2, 6)
 
-    def test_cklms_step_failure_carries_its_run(self):
+    def test_cklms_step_failure_carries_its_run(self, monkeypatch):
         """A cklms step that fails inside run_block names the row as well as the step."""
-        inputs = np.full((3, 5, 2), 0.5 + 0j)
-        inputs[2, 3, 1] = 0.5 + 0.25j  # the real Gaussian refuses complex inputs
+        step = ckaf.filters.cklms_step
+        calls = iter(range(15))
+
+        def failing(state, z, d):  # run 2, step 3 is the 14th call over 3 runs of 5 steps
+            if next(calls) == 2 * 5 + 3:
+                raise MemoryError("no room for a center")
+            return step(state, z, d)
+
+        monkeypatch.setattr(ckaf.filters, "cklms_step", failing)
         config = CklmsConfig(KernelSpec("real-gaussian", 1.0), 0.5)
-        with pytest.raises(FilterStepError, match="^step 3: z must have zero imaginary") as info:
+        inputs = np.full((3, 5, 2), 0.5 + 0.25j)
+        with pytest.raises(FilterStepError, match="^step 3: no room for a center$") as info:
             run_block(inputs, np.ones((3, 5), dtype=np.complex128), "cklms", config)
         assert (info.value.run, info.value.iteration) == (2, 3)
 
@@ -1471,17 +1459,6 @@ class TestSnapshots:
         with pytest.raises(ValueError, match=message):
             restore_state(doc)
 
-    def test_complex_center_for_real_kernel_names_its_path(self):
-        """A real-gaussian snapshot refuses a center with an imaginary part at its path."""
-        doc = snapshot_state(new_cklms_state(KernelSpec("real-gaussian", 1.0), mu=0.5))
-        doc["centers"] = [[[1.0, 0.5]]]
-        doc["coefficients"] = [[1.0, 0.0]]
-        message = (
-            r"^snapshot\.centers\[0\]: z must have zero imaginary parts for the real kernel$"
-        )
-        with pytest.raises(ValueError, match=message):
-            restore_state(doc)
-
     def test_non_finite_coefficient_rejected(self):
         """A NaN or infinite coefficient would make every later prediction non-finite."""
         state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
@@ -1639,8 +1616,6 @@ class TestSnapshots:
             state = new_linear_state(dim, widely_linear=algorithm == "wl_nclms", epsilon=epsilon)
             step = partial(nclms_step, mu=mu)
         else:
-            if algorithm == "real-gaussian":  # the real kernel takes real inputs only
-                samples = [(z.real.astype(complex), d) for z, d in samples]
             spec = KernelSpec(algorithm, sigma)
             state = new_cklms_state(spec, mu, NoveltyConfig(delta1, delta2))
             step = cklms_step
