@@ -27,7 +27,7 @@ Three algorithms share one step-record interface:
     ``||(z, conj z)||^2 = 2 ||z||^2`` because ``|conj z_i| = |z_i|``. Both
     algorithms therefore share one step, ``nclms_step``, and the state
     decides which one runs: a state with conjugate weights ``g`` (from
-    ``new_linear_state(dim, widely_linear=True)``) is widely linear.
+    ``new_linear_state(dim, config, widely_linear=True)``) is widely linear.
 
 Runs
 ----
@@ -61,8 +61,9 @@ Setting ``delta1 = delta2 = 0`` disables sparsification entirely.
 
 State objects are mutable and updated in place; the step functions return
 ``(state, record)`` so call sites can also be written in a functional style.
-A state carries its settings: ``CklmsState`` holds its frozen ``CklmsConfig``,
-so only the data passes through ``cklms_step``.
+A state carries its settings: ``CklmsState`` holds its frozen ``CklmsConfig``
+and ``LinearFilterState`` its frozen ``LinearLmsConfig``, so only the data
+passes through a step, ``step(state, z, d)`` for all three algorithms.
 """
 
 from __future__ import annotations
@@ -244,21 +245,40 @@ class CklmsState:
         _nonnegative_finite(self.iteration, "iteration")  # a negative count breaks the next step
 
 
+@dataclass(frozen=True)
+class LinearLmsConfig:
+    """Normalized LMS settings: step size, regularizer; also run_filter's and run_block's.
+
+    A ``LinearFilterState`` holds one, so its checks are the only ones ``mu``
+    and ``epsilon`` pass through.
+    """
+
+    mu: float
+    epsilon: float = 1e-6
+
+    def __post_init__(self):
+        _positive_finite(self.mu, "mu")  # an infinite step turns every weight into NaN
+        _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
+
+
 @dataclass
 class LinearFilterState:
-    """Explicit-weight state for nclms (g is None) and wl_nclms (g is set).
+    """Explicit-weight state for nclms (g is None) and wl_nclms (g is set), with its settings.
 
-    ``w`` and ``g`` are stored as complex128 arrays. One that already is
+    ``config`` is the frozen ``LinearLmsConfig`` whose ``mu`` and ``epsilon``
+    ``nclms_step`` reads. ``w`` and ``g`` are stored as complex128 arrays. One that already is
     such an array is kept, not copied, so the steps' in-place updates reach
     the caller's array; anything else (a list, a real array) is converted.
     """
 
+    config: LinearLmsConfig
     w: np.ndarray
     g: Optional[np.ndarray] = None
-    epsilon: float = 1e-6
 
     def __post_init__(self):
-        _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
+        # only a LinearLmsConfig has checked mu and epsilon
+        if not isinstance(self.config, LinearLmsConfig):
+            raise TypeError(f"config must be a LinearLmsConfig, got {type(self.config).__name__}")
         # no input could step an empty or 2-D filter
         if self.g is None:
             self.w = _as_vector(self.w, "weights")
@@ -275,11 +295,11 @@ def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None
     return CklmsState(CklmsConfig(kernel, mu, novelty or NoveltyConfig()))
 
 
-def new_linear_state(dim: int, widely_linear: bool = False, epsilon: float = 1e-6) -> LinearFilterState:
-    """Fresh zero-weight linear state of the given input dimension."""
+def new_linear_state(dim: int, config: LinearLmsConfig, widely_linear: bool = False) -> LinearFilterState:
+    """Fresh zero-weight linear state of the given input dimension; wl_nclms when widely linear."""
     w = np.zeros(dim, dtype=np.complex128)
     g = np.zeros(dim, dtype=np.complex128) if widely_linear else None
-    return LinearFilterState(w=w, g=g, epsilon=epsilon)
+    return LinearFilterState(config, w, g)
 
 
 def _as_sample_vector(z) -> np.ndarray:
@@ -361,24 +381,24 @@ def _modulus(e: complex) -> float:
         return math.inf
 
 
-def nclms_step(state: LinearFilterState, z, d, mu: float) -> tuple:
+def nclms_step(state: LinearFilterState, z, d) -> tuple:
     """One normalized LMS iteration; widely linear when the state has conjugate weights ``g``.
 
     Strictly linear, ``d_hat = <z, w> = sum_i z_i conj(w_i)`` and the weight
     update is ``w <- w + mu / (eps + ||z||^2) * conj(e) * z``. Widely linear,
     ``d_hat = <z, w> + <conj(z), g>`` and both weight vectors are updated with
     the shared normalization ``eps + 2 ||z||^2``: the same step on the stacked
-    input (z, conj(z)) and weight (w, g). Mutates and returns the state
-    together with the step record. Raises ValueError on a ``mu`` that is not
-    positive and finite, and ArithmeticError on non-finite inputs, before the
-    state changes.
+    input (z, conj(z)) and weight (w, g). ``mu`` and ``eps`` are the state's
+    ``config.mu`` and ``config.epsilon``. Mutates and returns the state
+    together with the step record. Raises ArithmeticError on non-finite
+    inputs and ValueError on an input of the wrong length, before the state
+    changes.
     """
-    _positive_finite(mu, "mu")  # NaN or inf turns every weight into NaN; mu <= 0 never learns
     zv = _as_sample_vector(z)
     dv = _as_target(d)
     if zv.shape[0] != state.w.shape[0]:
         raise ValueError(f"input has {zv.shape[0]} components, filter expects {state.w.shape[0]}")
-    gain = _gains(zv, mu, state.epsilon, state.g is not None)
+    gain = _gains(zv, state.config.mu, state.config.epsilon, state.g is not None)
     prediction, error = _normalized_lms_step(zv, dv, gain, state.w, state.g)
     squared_error = float(error.real * error.real + error.imag * error.imag)
     return state, StepRecord(complex(prediction), complex(error), squared_error, True, 0)
@@ -418,18 +438,6 @@ def _normalized_lms_step(z, d, gain, w: np.ndarray, g: Optional[np.ndarray]) -> 
     return prediction, error
 
 
-@dataclass(frozen=True)
-class LinearLmsConfig:
-    """run_filter and run_block configuration for the nclms and wl_nclms algorithms."""
-
-    mu: float
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        _positive_finite(self.mu, "mu")  # an infinite step turns every weight into NaN
-        _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
-
-
 class FilterRun(NamedTuple):
     """Result of driving one filter over a sample sequence."""
 
@@ -464,9 +472,10 @@ def _check_algorithm(algorithm: str, config) -> None:
 def run_filter(samples, algorithm: str, config) -> FilterRun:
     """Drive one algorithm over (input, target) pairs in order, one step per pair.
 
-    Each pair goes through ``cklms_step`` or ``nclms_step``, so every sample
-    is validated by its step. A linear filter starts from zero weights sized
-    by the first input, with conjugate weights for wl_nclms.
+    The step function is chosen once, and each pair goes through one call of
+    ``cklms_step`` or ``nclms_step``, so every sample is validated by its
+    step. A linear filter starts from zero weights sized by the first input,
+    with conjugate weights for wl_nclms, and holds ``config``.
 
     Parameters
     ----------
@@ -485,20 +494,20 @@ def run_filter(samples, algorithm: str, config) -> FilterRun:
     Raises
     ------
     FilterStepError
-        Wrapping any step failure with its zero-based iteration index.
+        Wrapping any step failure, or an item that is not an (input, target)
+        pair, with its zero-based iteration index.
     """
     _check_algorithm(algorithm, config)
     state = CklmsState(config) if algorithm == "cklms" else None
+    step = cklms_step if algorithm == "cklms" else nclms_step
     records = []
-    for i, (z, d) in enumerate(samples):
+    for i, sample in enumerate(samples):
         try:
-            if algorithm == "cklms":
-                state, record = cklms_step(state, z, d)
-            else:
-                if state is None:  # zero weights sized by the first input
-                    dim = _as_sample_vector(z).shape[0]
-                    state = new_linear_state(dim, algorithm == "wl_nclms", config.epsilon)
-                state, record = nclms_step(state, z, d, config.mu)
+            z, d = sample
+            if state is None:  # zero weights sized by the first input
+                dim = _as_sample_vector(z).shape[0]
+                state = new_linear_state(dim, config, algorithm == "wl_nclms")
+            state, record = step(state, z, d)
         except Exception as exc:
             raise FilterStepError(i, str(exc)) from exc
         records.append(record)
@@ -542,16 +551,13 @@ def run_block(inputs, targets, algorithm: str, config) -> BlockRun:
         dict_sizes = np.empty((runs, n), dtype=np.int64)
         for r in range(runs):
             state = CklmsState(config)
-            run_predictions, run_sizes = [], []
             for i, (z, d) in enumerate(zip(inputs[r], targets[r])):
                 try:
                     state, record = cklms_step(state, z, d)
                 except Exception as exc:
                     raise FilterStepError(i, str(exc), run=r) from exc
-                run_predictions.append(record.prediction)
-                run_sizes.append(record.dict_size)
-            predictions[r] = run_predictions
-            dict_sizes[r] = run_sizes
+                predictions[r, i] = record.prediction
+                dict_sizes[r, i] = record.dict_size
     else:
         widely_linear = algorithm == "wl_nclms"
         gains = np.empty((runs, n))
@@ -601,6 +607,7 @@ class _LinearSnapshot:
     """The nclms and wl_nclms snapshot document; ``g`` is null for nclms."""
 
     algorithm: str
+    mu: float
     epsilon: float
     w: tuple[complex, ...]
     g: Optional[tuple[complex, ...]] = None
@@ -612,7 +619,8 @@ def snapshot_state(state) -> dict:
     The exact field layout is part of the public interface (see the README):
     cklms snapshots carry the kernel, step size, novelty thresholds,
     iteration counter, centers, and coefficients; linear snapshots carry the
-    weight vector(s) and epsilon. Complex values are stored as [real, imag].
+    step size, epsilon and the weight vector(s). Either restores a state that
+    steps on its own. Complex values are stored as [real, imag].
     """
     if isinstance(state, CklmsState):
         config, dictionary = state.config, state.dictionary
@@ -621,8 +629,8 @@ def snapshot_state(state) -> dict:
             dictionary.centers, dictionary.coefficients,
         )
     elif isinstance(state, LinearFilterState):
-        algorithm = "nclms" if state.g is None else "wl_nclms"
-        snapshot = _LinearSnapshot(algorithm, state.epsilon, state.w, state.g)
+        algorithm, config = "nclms" if state.g is None else "wl_nclms", state.config
+        snapshot = _LinearSnapshot(algorithm, config.mu, config.epsilon, state.w, state.g)
     else:
         raise TypeError(f"cannot snapshot object of type {type(state).__name__}")
     return echo(type(snapshot), snapshot)
@@ -633,13 +641,14 @@ def restore_state(doc):
 
     The document is parsed by ``ckaf.documents.parse`` at path ``snapshot``,
     so a missing, unknown or mistyped field raises a ValueError naming its
-    dotted path. The state constructors refuse what they refuse anywhere,
-    such as a negative iteration or non-finite weights, as a ValueError at
-    path ``snapshot``. States that no run of the filter could reach are
-    refused too: a linear algorithm that disagrees with ``g``, unequal center
-    and coefficient counts, non-finite centers or coefficients, and centers of
-    unequal widths, which name the center's path, as in
-    ``snapshot.centers[1]: ...``.
+    dotted path: a linear document without ``mu`` is refused at
+    ``snapshot.mu``. The config and state constructors refuse what they
+    refuse anywhere, such as a negative step size or iteration or non-finite
+    weights, as a ValueError at path ``snapshot``. States that no run of the
+    filter could reach are refused too: a linear algorithm that disagrees
+    with ``g``, unequal center and coefficient counts, non-finite centers or
+    coefficients, and centers of unequal widths, which name the center's
+    path, as in ``snapshot.centers[1]: ...``.
     """
     # a document that is not an object is refused by parse
     algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
@@ -651,7 +660,7 @@ def restore_state(doc):
         raise ValueError(f"snapshot algorithm {algorithm!r} {verb} conjugate weights g")
     try:
         if algorithm != "cklms":
-            return LinearFilterState(w=snap.w, g=snap.g, epsilon=snap.epsilon)
+            return LinearFilterState(LinearLmsConfig(snap.mu, snap.epsilon), snap.w, snap.g)
         config = CklmsConfig(snap.kernel, snap.mu, snap.novelty)
         state = CklmsState(config, iteration=snap.iteration)
     except ValueError as exc:

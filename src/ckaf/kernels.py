@@ -475,10 +475,10 @@ def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.
     """
     zv = _as_vector(z, "z")
     c = _complex_array(centers, "centers")
-    if c.ndim != 2 or c.shape[1] != zv.shape[0]:
-        raise ValueError(
-            f"centers must have shape (m, {zv.shape[0]}), got {c.shape}"
-        )
+    if c.ndim != 2:
+        raise ValueError(f"centers must have shape (m, {zv.shape[0]}), got {c.shape}")
+    if c.shape[1] != zv.shape[0]:  # as the pair rule words it, naming both
+        raise ValueError(f"dimension mismatch: {zv.size} components in z, {c.shape[1]} in centers")
     if squares is None:
         row = _difference_form(zv[None], c, spec)[0]
     else:

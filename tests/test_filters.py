@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import types
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,7 @@ def fresh_snapshot(algorithm):
     """The snapshot document of a new filter of ``algorithm``."""
     if algorithm == "cklms":
         return snapshot_state(new_cklms_state(complex_gaussian(1.0), mu=0.5))
-    return snapshot_state(new_linear_state(2, widely_linear=algorithm == "wl_nclms"))
+    return snapshot_state(new_linear_state(2, LinearLmsConfig(0.1), algorithm == "wl_nclms"))
 
 
 def brute_force_cklms(samples, sigma, mu, delta1, delta2):
@@ -272,8 +271,11 @@ class TestCklmsPredict:
         """Query dimension must match the stored centers."""
         state = new_cklms_state(complex_gaussian(1.0), mu=1.0)
         state.dictionary.append(np.array([1 + 0j, 0j]), 1 + 0j, 1.0)
-        with pytest.raises(ValueError, match=r"centers must have shape \(m, 1\), got \(1, 2\)"):
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 components in z, 2 in centers$"):
             cklms_predict(state, [1 + 0j])
+        with pytest.raises(ValueError, match="^dimension mismatch: 3 components in z, 2 in centers$"):
+            cklms_step(state, [1 + 0j, 0j, 0j], 0j)
+        assert state.iteration == 0 and state.dictionary.size == 1
 
     @pytest.mark.parametrize(
         "query, error",
@@ -875,6 +877,22 @@ class TestCklmsStep:
         # the settings come as one checked object, not as the loose values they hold
         with pytest.raises(TypeError, match="^config must be a CklmsConfig, got KernelSpec$"):
             CklmsState(complex_gaussian(1.0), 0.5)
+        # a linear state holds its LinearLmsConfig the same way
+        state = new_linear_state(2, LinearLmsConfig(0.5, 1e-4), widely_linear=True)
+        assert [f.name for f in dataclasses.fields(state)] == ["config", "w", "g"]
+        assert state.config == LinearLmsConfig(0.5, 1e-4)
+        for name, value in [("mu", math.nan), ("epsilon", -5.0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state.config, name, value)
+        assert state.config.epsilon == 1e-4
+        # a stray attribute is no setting: the step reads only the config
+        state.epsilon = -5.0
+        _, record = nclms_step(state, [0.1, 0.1], 1.0)
+        _, expected = nclms_step(new_linear_state(2, state.config, True), [0.1, 0.1], 1.0)
+        assert record == expected
+        # weights passed where the settings go: the old LinearFilterState(w, g) call
+        with pytest.raises(TypeError, match="^config must be a LinearLmsConfig, got ndarray$"):
+            LinearFilterState(np.zeros(2), np.zeros(2))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -972,18 +990,18 @@ class TestCklmsStep:
 class TestNclmsStep:
     def test_zero_weights_predict_zero(self):
         """With w = 0 the error equals the target."""
-        state = new_linear_state(3)
-        state, record = nclms_step(state, [1 + 1j, 0j, 0.5j], 2 - 1j, mu=0.5)
+        state = new_linear_state(3, LinearLmsConfig(0.5))
+        state, record = nclms_step(state, [1 + 1j, 0j, 0.5j], 2 - 1j)
         assert record.prediction == 0j
         assert record.error == 2 - 1j
 
     def test_one_step_exact_fit_on_basis_vector(self):
         """A unit basis input with eps = 0 is fit exactly in one step."""
-        state = new_linear_state(2, epsilon=0.0)
+        state = new_linear_state(2, LinearLmsConfig(1.0, epsilon=0.0))
         z = np.array([1 + 0j, 0j])
-        state, _ = nclms_step(state, z, 1 + 0j, mu=1.0)
+        state, _ = nclms_step(state, z, 1 + 0j)
         assert np.array_equal(state.w, z), f"expected w = e1, got {state.w}"
-        _, record = nclms_step(state, z, 1 + 0j, mu=1.0)
+        _, record = nclms_step(state, z, 1 + 0j)
         assert record.prediction == 1 + 0j
 
     def test_ten_step_trace_matches_reference(self):
@@ -998,51 +1016,55 @@ class TestNclmsStep:
             err = d - pred
             w = w + (mu / (eps + np.vdot(z, z).real)) * np.conj(err) * z
             reference.append(pred)
-        state = new_linear_state(4, epsilon=eps)
+        state = new_linear_state(4, LinearLmsConfig(mu, eps))
         for (z, d), expected in zip(samples, reference):
-            state, record = nclms_step(state, z, d, mu=mu)
+            state, record = nclms_step(state, z, d)
             assert abs(record.prediction - expected) < 1e-13
 
     @pytest.mark.parametrize("epsilon", [-1e-6, math.nan, math.inf])
     def test_bad_epsilon_rejected(self, epsilon):
-        """epsilon must be nonnegative and finite; NaN, which passes every < test, is refused too."""
+        """epsilon must be nonnegative and finite; NaN, which passes every < test, is refused too.
+        LinearLmsConfig is its only check: a state holds it, frozen, so no step sees another."""
         message = f"^epsilon must be nonnegative and finite, got {epsilon}$"
         with pytest.raises(ValueError, match=message):
-            new_linear_state(2, epsilon=epsilon)
-        with pytest.raises(ValueError, match=message):
             LinearLmsConfig(mu=0.1, epsilon=epsilon)
+        state = new_linear_state(2, LinearLmsConfig(0.1))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(state.config, epsilon=epsilon)
 
     def test_weights_must_be_a_non_empty_vector(self):
         """A weight vector no input could step, or one whose predictions would be non-finite,
         is refused when the state is built."""
         message = "weights must be a 1-D vector with at least one component"
+        config = LinearLmsConfig(0.1)
         with pytest.raises(ValueError, match=message):
-            new_linear_state(0)
+            new_linear_state(0, config)
         with pytest.raises(ValueError, match=message):
-            LinearFilterState(w=np.zeros((2, 2), dtype=complex))
+            LinearFilterState(config, np.zeros((2, 2), dtype=complex))
         for value in (np.nan + 0j, complex(0.0, np.inf)):
             with pytest.raises(ValueError, match="^weights have non-finite components$"):
-                LinearFilterState(w=np.array([value]))
+                LinearFilterState(config, np.array([value]))
             with pytest.raises(ValueError, match="^weights have non-finite components$"):
-                LinearFilterState(w=np.array([1 + 0j, value]), g=np.zeros(2, dtype=complex))
+                LinearFilterState(config, np.array([1 + 0j, value]), np.zeros(2, dtype=complex))
             message = "^conjugate weights have non-finite components$"
             with pytest.raises(ValueError, match=message):
-                LinearFilterState(w=np.zeros(2, dtype=complex), g=np.array([value, 0j]))
+                LinearFilterState(config, np.zeros(2, dtype=complex), np.array([value, 0j]))
 
     @pytest.mark.parametrize("w", [np.zeros(2), [0j, 0j]], ids=["real-array", "list"])
     def test_weights_are_stored_as_complex_arrays(self, w):
         """Real or list weights are converted, so the first step runs as on zero complex weights."""
-        state, record = nclms_step(LinearFilterState(w=w), [1 + 1j, 1], 1j, 0.5)
-        _, expected = nclms_step(new_linear_state(2), [1 + 1j, 1], 1j, 0.5)
+        config = LinearLmsConfig(0.5)
+        state, record = nclms_step(LinearFilterState(config, w), [1 + 1j, 1], 1j)
+        _, expected = nclms_step(new_linear_state(2, config), [1 + 1j, 1], 1j)
         assert state.w.dtype == np.complex128
         assert record == expected
 
     def test_complex_weights_are_kept_not_copied(self):
         """A complex128 weight array is the state's own, so steps update it in place."""
         w, g = np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128)
-        state = LinearFilterState(w=w, g=g)
+        state = LinearFilterState(LinearLmsConfig(0.5), w, g)
         assert state.w is w and state.g is g
-        nclms_step(state, [1 + 1j, 1], 1j, 0.5)
+        nclms_step(state, [1 + 1j, 1], 1j)
         assert w.any() and g.any()
 
     @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
@@ -1054,38 +1076,42 @@ class TestNclmsStep:
     @pytest.mark.parametrize("widely_linear", [False, True], ids=["nclms", "wl_nclms"])
     @pytest.mark.parametrize("mu", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_mu_rejected_before_the_state_changes(self, mu, widely_linear):
-        """A step size that is not positive and finite is refused as LinearLmsConfig refuses
-        it: NaN or inf would turn the weights into NaN, 0 never learns, -1 steps away."""
-        state = new_linear_state(2, widely_linear=widely_linear)
-        nclms_step(state, [1 + 1j, 0.5], 1, 0.5)
-        w, g = state.w.copy(), None if state.g is None else state.g.copy()
+        """A step size that is not positive and finite is refused by LinearLmsConfig, its only
+        check: NaN or inf would turn the weights into NaN, 0 never learns, -1 steps away. The
+        state holds its config frozen, so no step can see such a value."""
         with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
-            nclms_step(state, [1 + 1j, 0.5], 1, mu)
-        assert np.array_equal(state.w, w) and (g is None or np.array_equal(state.g, g))
+            LinearLmsConfig(mu)
+        state = new_linear_state(2, LinearLmsConfig(0.5), widely_linear=widely_linear)
+        nclms_step(state, [1 + 1j, 0.5], 1)
+        with pytest.raises(ValueError, match=f"^mu must be positive and finite, got {mu}$"):
+            dataclasses.replace(state.config, mu=mu)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.config.mu = mu
+        assert state.config.mu == 0.5
 
     def test_dimension_mismatch_rejected(self):
         """Input length must match the weight vector."""
-        state = new_linear_state(3)
+        state = new_linear_state(3, LinearLmsConfig(0.1))
         with pytest.raises(ValueError):
-            nclms_step(state, [1 + 0j], 0j, mu=0.1)
+            nclms_step(state, [1 + 0j], 0j)
 
 
 class TestWlNclmsStep:
     def test_zero_weights_predict_zero(self):
         """With w = g = 0 the output is 0."""
-        state = new_linear_state(2, widely_linear=True)
-        _, record = nclms_step(state, [1j, 2 + 0j], 1 + 0j, mu=0.5)
+        state = new_linear_state(2, LinearLmsConfig(0.5), widely_linear=True)
+        _, record = nclms_step(state, [1j, 2 + 0j], 1 + 0j)
         assert record.prediction == 0j
 
     def test_real_inputs_degenerate_to_doubled_linear_predictor(self):
         """On a real input stream w and g stay equal and the output is 2<z, w>."""
         rng = np.random.default_rng(31)
-        state = new_linear_state(3, widely_linear=True)
+        state = new_linear_state(3, LinearLmsConfig(0.4), widely_linear=True)
         for _ in range(15):
             z = rng.standard_normal(3).astype(np.complex128)
             d = complex(rng.standard_normal() + 1j * rng.standard_normal())
             w_before = state.w.copy()
-            state, record = nclms_step(state, z, d, mu=0.4)
+            state, record = nclms_step(state, z, d)
             linear_part = np.sum(z * np.conj(w_before))
             assert record.prediction == complex(2.0 * linear_part)
             assert np.array_equal(state.w, state.g)
@@ -1103,9 +1129,9 @@ class TestWlNclmsStep:
             err = d - pred
             big_w = big_w + (mu / (eps + np.vdot(u, u).real)) * np.conj(err) * u
             reference.append(pred)
-        state = new_linear_state(3, widely_linear=True, epsilon=eps)
+        state = new_linear_state(3, LinearLmsConfig(mu, eps), widely_linear=True)
         for (z, d), expected in zip(samples, reference):
-            state, record = nclms_step(state, z, d, mu=mu)
+            state, record = nclms_step(state, z, d)
             assert abs(record.prediction - expected) < 1e-13
 
 
@@ -1152,8 +1178,8 @@ class TestLinearBlock:
                     records = [cklms_step(state, z, d)[1] for z, d in zip(inputs[r], targets[r])]
             else:
                 widely_linear = algorithm == "wl_nclms"
-                state = new_linear_state(dim, widely_linear=widely_linear, epsilon=epsilon)
-                records = [nclms_step(state, z, d, mu)[1] for z, d in zip(inputs[r], targets[r])]
+                state = new_linear_state(dim, config, widely_linear)
+                records = [nclms_step(state, z, d)[1] for z, d in zip(inputs[r], targets[r])]
             predictions = np.array([rec.prediction for rec in records])
             squared_errors = np.array([rec.squared_error for rec in records])
             assert np.array_equal(bits(block.predictions[r]), bits(predictions))
@@ -1171,9 +1197,9 @@ class TestLinearBlock:
 
     def test_zero_input_without_regularization_leaves_weights(self):
         """eps = 0 and z = 0 has no normalized step: the gain is 0, not a division by zero."""
-        state = new_linear_state(2, epsilon=0.0)
+        state = new_linear_state(2, LinearLmsConfig(0.5, epsilon=0.0))
         state.w[:] = [1 + 1j, 2 - 1j]
-        state, record = nclms_step(state, [0j, 0j], 1 + 0j, mu=0.5)
+        state, record = nclms_step(state, [0j, 0j], 1 + 0j)
         assert record.prediction == 0j and record.error == 1 + 0j
         assert np.array_equal(state.w, [1 + 1j, 2 - 1j])
 
@@ -1341,10 +1367,30 @@ class TestRunFilter:
             run_filter([(np.array([0j]), 0j)], "cklms", LinearLmsConfig(mu=0.1))
 
     def test_step_errors_carry_iteration_index(self):
-        """Failures are wrapped with the zero-based sample index."""
+        """Failures are wrapped with the zero-based sample index, and so is an item that is not
+        an (input, target) pair: a number, a 1-tuple or a 3-tuple."""
         samples = [(np.array([0.1 + 0j]), 1 + 0j), (np.array([np.inf + 0j]), 0j)]
         with pytest.raises(FilterStepError, match="step 1"):
             run_filter(samples, "cklms", CklmsConfig(kernel=complex_gaussian(1.0), mu=1.0))
+        pair = (np.array([0.1 + 0j]), 1 + 0j)
+        configs = {
+            "cklms": CklmsConfig(kernel=complex_gaussian(1.0), mu=1.0),
+            "nclms": LinearLmsConfig(0.1),
+            "wl_nclms": LinearLmsConfig(0.1),
+        }
+        for item, message in [
+            (1, "cannot unpack non-iterable int object"),
+            ((np.ones(1),), "not enough values to unpack"),
+            ((np.ones(1), 0j, 0j), "too many values to unpack"),
+        ]:
+            for algorithm, config in configs.items():
+                for index in (0, 2):
+                    samples = [pair] * index + [item, pair]
+                    with pytest.raises(FilterStepError, match=f"^step {index}: {message}") as info:
+                        run_filter(samples, algorithm, config)
+                    assert info.value.iteration == index and info.value.run is None
+        with pytest.raises(FilterStepError, match="^step 0: cannot unpack non-iterable int"):
+            run_filter([1, 2], "nclms", LinearLmsConfig(0.1))
 
     @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
     @pytest.mark.parametrize(
@@ -1372,10 +1418,12 @@ class TestRunFilter:
         """run_filter returns the step loop's records and state."""
         rng = np.random.default_rng(74)
         samples = random_samples(rng, 40, 3)
-        state = new_linear_state(3, widely_linear=algorithm == "wl_nclms", epsilon=1e-4)
-        expected = [nclms_step(state, z, d, 0.3)[1] for z, d in samples]
-        run = run_filter(iter(samples), algorithm, LinearLmsConfig(mu=0.3, epsilon=1e-4))
+        config = LinearLmsConfig(mu=0.3, epsilon=1e-4)
+        state = new_linear_state(3, config, widely_linear=algorithm == "wl_nclms")
+        expected = [nclms_step(state, z, d)[1] for z, d in samples]
+        run = run_filter(iter(samples), algorithm, config)
         assert run.records == expected
+        assert run.state.config is config
         assert snapshot_state(run.state) == snapshot_state(state)
 
 
@@ -1398,24 +1446,24 @@ class TestSnapshots:
             assert rec_a == rec_b, f"post-restore trace diverged: {rec_a} vs {rec_b}"
 
     def test_linear_round_trip(self):
-        """Linear snapshots restore weights and epsilon exactly."""
+        """Linear snapshots restore weights, step size and epsilon exactly."""
         rng = np.random.default_rng(81)
-        state = new_linear_state(3, widely_linear=True, epsilon=1e-5)
+        state = new_linear_state(3, LinearLmsConfig(0.4, 1e-5), widely_linear=True)
         for z, d in random_samples(rng, 10, 3):
-            state, _ = nclms_step(state, z, d, mu=0.4)
+            state, _ = nclms_step(state, z, d)
         doc = json.loads(json.dumps(snapshot_state(state)))
         restored = restore_state(doc)
         assert np.array_equal(restored.w, state.w)
         assert np.array_equal(restored.g, state.g)
-        assert restored.epsilon == state.epsilon
+        assert restored.config == state.config
 
     def test_snapshot_field_names_are_stable(self):
         """The documented snapshot keys are present."""
         state = new_cklms_state(KernelSpec("complex-gaussian", 5.0), mu=1.0)
         doc = snapshot_state(state)
         assert set(doc) == {"algorithm", "kernel", "mu", "novelty", "iteration", "centers", "coefficients"}
-        lin = snapshot_state(new_linear_state(2))
-        assert set(lin) == {"algorithm", "epsilon", "w", "g"}
+        lin = snapshot_state(new_linear_state(2, LinearLmsConfig(0.1)))
+        assert set(lin) == {"algorithm", "mu", "epsilon", "w", "g"}
 
     def test_mismatched_dictionary_lengths_rejected(self):
         """A snapshot with more centers than coefficients is refused, not truncated."""
@@ -1431,7 +1479,7 @@ class TestSnapshots:
 
     def test_linear_weight_lengths_must_match(self):
         """A widely linear snapshot whose w and g differ in length is refused."""
-        state = new_linear_state(3, widely_linear=True)
+        state = new_linear_state(3, LinearLmsConfig(0.1), widely_linear=True)
         doc = snapshot_state(state)
         doc["g"] = doc["g"][:2]
         message = "^snapshot: dimension mismatch: 3 components in weights, 2 in conjugate weights$"
@@ -1473,7 +1521,7 @@ class TestSnapshots:
     @pytest.mark.parametrize("name, field", [("w", "weights"), ("g", "conjugate weights")], ids=["w", "g"])
     def test_non_finite_linear_weight_rejected(self, name, field):
         """A non-finite weight would make every later prediction non-finite."""
-        doc = snapshot_state(new_linear_state(3, widely_linear=True))
+        doc = snapshot_state(new_linear_state(3, LinearLmsConfig(0.1), widely_linear=True))
         doc[name][1] = [0.0, math.inf]
         with pytest.raises(ValueError, match=f"^snapshot: {field} have non-finite components$"):
             restore_state(doc)
@@ -1500,14 +1548,14 @@ class TestSnapshots:
     )
     def test_linear_algorithm_must_match_conjugate_weights(self, algorithm, g, message):
         """The declared algorithm, not the presence of g, decides the filter; a mismatch is refused."""
-        doc = snapshot_state(new_linear_state(2))
+        doc = snapshot_state(new_linear_state(2, LinearLmsConfig(0.1)))
         doc["algorithm"], doc["g"] = algorithm, g
         with pytest.raises(ValueError, match=message):
             restore_state(doc)
 
     def test_empty_linear_weights_rejected(self):
         """A snapshot with no weights would build a filter that no input can step."""
-        doc = snapshot_state(new_linear_state(2, widely_linear=True))
+        doc = snapshot_state(new_linear_state(2, LinearLmsConfig(0.1), widely_linear=True))
         doc["w"], doc["g"] = [], []
         with pytest.raises(ValueError, match="weights must be a 1-D vector with at least one component"):
             restore_state(doc)
@@ -1524,7 +1572,7 @@ class TestSnapshots:
     def test_malformed_pair_rejected(self, field, where, pair):
         """Every stored complex value must be a [real, imag] pair of numbers; the error names it."""
         if field in ("w", "g"):
-            doc = snapshot_state(new_linear_state(2, widely_linear=True))
+            doc = snapshot_state(new_linear_state(2, LinearLmsConfig(0.1), widely_linear=True))
             doc[field][1] = pair
         else:
             state = new_cklms_state(complex_gaussian(1.0), mu=0.5)
@@ -1553,6 +1601,7 @@ class TestSnapshots:
             ("cklms", "coefficients"),
             ("cklms", "kernel.family"),
             ("nclms", "w"),
+            ("nclms", "mu"),
             ("wl_nclms", "epsilon"),
         ],
     )
@@ -1565,6 +1614,17 @@ class TestSnapshots:
             section = section[parent]
         del section[name]
         with pytest.raises(ValueError, match=rf"^snapshot\.{re.escape(path)}: missing required field$"):
+            restore_state(doc)
+
+    @pytest.mark.parametrize("algorithm", ["nclms", "wl_nclms"])
+    @pytest.mark.parametrize("mu", [-1, 0])
+    def test_linear_step_size_is_checked_by_its_config(self, algorithm, mu):
+        """A linear state steps with its own mu, so a document whose mu LinearLmsConfig refuses
+        is not restored; one without mu, as written before snapshots carried it, is refused
+        by test_missing_field_rejected."""
+        doc = fresh_snapshot(algorithm)
+        doc["mu"] = mu
+        with pytest.raises(ValueError, match=f"^snapshot: mu must be positive and finite, got {mu}$"):
             restore_state(doc)
 
     @pytest.mark.parametrize("algorithm", ["cklms", "nclms", "wl_nclms"])
@@ -1587,8 +1647,9 @@ class TestSnapshots:
         }
         state = restore_state(doc)
         assert state.config == CklmsConfig(KernelSpec("linear", 1.0), 0.5, NoveltyConfig(0.0, 0.0))
-        state = restore_state({"algorithm": "nclms", "epsilon": 0.0, "w": [[1.0, 0.0]]})
+        state = restore_state({"algorithm": "nclms", "mu": 0.5, "epsilon": 0.0, "w": [[1.0, 0.0]]})
         assert state.g is None and state.w.tolist() == [1 + 0j]
+        assert state.config == LinearLmsConfig(0.5, 0.0)
 
     def test_unknown_snapshot_rejected(self):
         """Restoring an unrecognized document is a usage error."""
@@ -1610,11 +1671,13 @@ class TestSnapshots:
     def test_snapshot_json_restore_round_trip(
         self, algorithm, dim, steps, mu, sigma, delta1, delta2, epsilon, seed
     ):
-        """snapshot -> JSON text -> restore gives an equal snapshot and the same next 5 steps."""
+        """snapshot -> JSON text -> restore gives an equal snapshot and the same next 5 steps,
+        each from the restored state's own settings."""
         samples = random_samples(np.random.default_rng(seed), steps + 5, dim)
         if algorithm in ("nclms", "wl_nclms"):
-            state = new_linear_state(dim, widely_linear=algorithm == "wl_nclms", epsilon=epsilon)
-            step = partial(nclms_step, mu=mu)
+            config = LinearLmsConfig(mu, epsilon)
+            state = new_linear_state(dim, config, widely_linear=algorithm == "wl_nclms")
+            step = nclms_step
         else:
             spec = KernelSpec(algorithm, sigma)
             state = new_cklms_state(spec, mu, NoveltyConfig(delta1, delta2))

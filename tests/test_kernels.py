@@ -500,8 +500,8 @@ def _modulus_sq(v):
 _ENTRIES = {
     "kernel_value.z": ("z", lambda x: kernel_value(x, _Z, _SPEC), _ROW, _LONG),
     "kernel_value.w": ("w", lambda x: kernel_value(_Z, x, _SPEC), _ROW, _LONG),
-    # a z of the wrong length is reported on the centers, kernel_vector's own check
-    "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC), _ROW, None),
+    # a z of the wrong length is reported as the pair rule words it, naming z and the centers
+    "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC), _ROW, _LONG),
     "kernel_vector.centers": ("centers", lambda x: kernel_vector(_Z, x, _SPEC), _Z, _WIDE),
     "kernel_vector.squares": (
         "squares", lambda x: kernel_vector(_Z, _Z[None], _SPEC, x), _ROW, _LONG
@@ -520,9 +520,12 @@ _ENTRIES = {
         "targets", lambda x: run_block(_Z[None, :, None], x, "nclms", LinearLmsConfig(0.1)),
         _Z, np.zeros((1, 3)),
     ),
-    "LinearFilterState.w": ("weights", lambda x: LinearFilterState(w=x), _ROW, None),
+    "LinearFilterState.w": (
+        "weights", lambda x: LinearFilterState(LinearLmsConfig(0.1), x), _ROW, None
+    ),
     "LinearFilterState.g": (
-        "conjugate weights", lambda x: LinearFilterState(w=_Z.copy(), g=x), _ROW, _LONG
+        "conjugate weights", lambda x: LinearFilterState(LinearLmsConfig(0.1), _Z.copy(), x),
+        _ROW, _LONG,
     ),
     "apply_channel": ("s", lambda x: apply_channel(x, ChannelConfig()), _ROW, None),
     "build_dataset.r": (
