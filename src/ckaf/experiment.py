@@ -40,7 +40,6 @@ values of 0 are clamped to 1e-12 (-120 dB) before the dB transform.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -268,10 +267,19 @@ def emit_results(result: ExperimentResult, fmt: str, path) -> None:
     """
     if fmt == "csv":
         _emit_csv(result, path)
-    elif fmt == "json":
-        _emit_json(result, path)
-    else:
+        return
+    if fmt != "json":
         raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'json'")
+    curves = {}
+    for label, curve in result.curves.items():
+        curves[label] = {"mse": curve.mse.tolist(), "mse_db": curve.mse_db.tolist()}
+        if curve.dict_size_curve is not None:
+            curves[label]["dict_size_curve"] = curve.dict_size_curve.tolist()
+            curves[label]["final_dict_sizes"] = curve.final_dict_sizes.tolist()
+    doc = {"config": config_to_dict(result.config), "curves": curves, "metadata": result.metadata}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)  # written chunk by chunk, never as one text
+        fh.write("\n")
 
 
 def _emit_csv(result: ExperimentResult, path) -> None:
@@ -282,49 +290,6 @@ def _emit_csv(result: ExperimentResult, path) -> None:
     lines += [row % values for values in zip(range(1, len(columns[0]) + 1), *columns)]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _emit_json(result: ExperimentResult, path) -> None:
-    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` of the result document.
-
-    The curve lists hold nearly every number of the document, and ``json``
-    renders an indented document in pure Python, one item at a time. They
-    are rendered here instead, each list with one join over its ``tolist()``
-    in the layout ``json`` gives it at its depth, and written as they are
-    rendered, so that no copy of the whole text is held; ``config`` and
-    ``metadata`` are rendered by ``json`` and indented one level (``json``
-    escapes every newline inside a string).
-    """
-    config = json.dumps(config_to_dict(result.config), sort_keys=True, indent=2)
-    metadata = json.dumps(result.metadata, sort_keys=True, indent=2)
-    with open(path, "w") as fh:
-        fh.write('{\n  "config": ' + config.replace("\n", "\n  ") + ',\n  "curves": {')
-        for n, label in enumerate(sorted(result.curves)):
-            curve = result.curves[label]
-            lists = {"mse": curve.mse, "mse_db": curve.mse_db}
-            if curve.dict_size_curve is not None:
-                lists["dict_size_curve"] = curve.dict_size_curve
-                lists["final_dict_sizes"] = curve.final_dict_sizes
-            fh.write(("," if n else "") + "\n    " + json.dumps(label) + ": {")
-            for k, key in enumerate(sorted(lists)):
-                fh.write(("," if k else "") + f'\n      "{key}": ' + _json_list(lists[key].tolist()))
-            fh.write("\n    }")
-        fh.write(("\n  }" if result.curves else "}") + ',\n  "metadata": ')
-        fh.write(metadata.replace("\n", "\n  ") + "\n}\n")
-
-
-# json's spellings of the floats that Python's repr writes as nan, inf and -inf
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_list(values: list) -> str:
-    """A list of ints or floats as ``json.dumps(..., indent=2)`` writes it in a curve."""
-    if not values:
-        return "[]"
-    items = map(repr, values)  # json writes ints and finite floats by their repr
-    if not all(map(math.isfinite, values)):
-        items = (_JSON_NONFINITE.get(item, item) for item in items)
-    return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -227,6 +228,23 @@ class CklmsConfig:
         _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
 
 
+def _config_property(kind: type) -> property:
+    """A state's ``config``, which holds only a ``kind`` instance, in ``_config``.
+
+    Every assignment is checked, the constructor's and any later one, so a
+    state never steps with settings that skipped their checks. The getter is
+    the C-level ``attrgetter`` and the other attributes stay plain, so neither
+    a read nor the per-step ``iteration += 1`` runs Python code.
+    """
+
+    def check(state, config):
+        if not isinstance(config, kind):
+            raise TypeError(f"config must be a {kind.__name__}, got {type(config).__name__}")
+        state._config = config
+
+    return property(operator.attrgetter("_config"), check)
+
+
 @dataclass
 class CklmsState:
     """Kernel LMS filter state: its frozen settings, the dictionary, the iteration count."""
@@ -236,13 +254,15 @@ class CklmsState:
     iteration: int = 0
 
     def __post_init__(self):
-        # only a CklmsConfig has checked mu; CklmsState(kernel, mu) would bind mu to the dictionary
-        if not isinstance(self.config, CklmsConfig):
-            raise TypeError(f"config must be a CklmsConfig, got {type(self.config).__name__}")
         # what a snapshot can hold: an int, never a bool
         if not isinstance(self.iteration, int) or isinstance(self.iteration, bool):
             raise TypeError(f"iteration must be an int, got {self.iteration!r}")
         _nonnegative_finite(self.iteration, "iteration")  # a negative count breaks the next step
+
+
+# set after @dataclass, which would take a class attribute for the field's default; only a
+# CklmsConfig has checked mu, and CklmsState(kernel, mu) would bind mu to the dictionary
+CklmsState.config = _config_property(CklmsConfig)
 
 
 @dataclass(frozen=True)
@@ -276,9 +296,6 @@ class LinearFilterState:
     g: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        # only a LinearLmsConfig has checked mu and epsilon
-        if not isinstance(self.config, LinearLmsConfig):
-            raise TypeError(f"config must be a LinearLmsConfig, got {type(self.config).__name__}")
         # no input could step an empty or 2-D filter
         if self.g is None:
             self.w = _as_vector(self.w, "weights")
@@ -288,6 +305,9 @@ class LinearFilterState:
         for name, weights in (("weights", self.w), ("conjugate weights", self.g)):
             if weights is not None and not np.isfinite(weights).all():
                 raise ValueError(f"{name} have non-finite components")
+
+
+LinearFilterState.config = _config_property(LinearLmsConfig)  # only it has checked mu
 
 
 def new_cklms_state(kernel: KernelSpec, mu: float, novelty: NoveltyConfig = None) -> CklmsState:
@@ -652,6 +672,8 @@ def restore_state(doc):
     """
     # a document that is not an object is refused by parse
     algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
+    if isinstance(doc, dict) and "algorithm" not in doc:  # in parse's words
+        raise ConfigError("snapshot.algorithm", "missing required field")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
     snap = parse(_CklmsSnapshot if algorithm == "cklms" else _LinearSnapshot, doc, "snapshot")

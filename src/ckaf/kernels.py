@@ -9,9 +9,9 @@ squared RKHS distances between feature-space images of points.
 Every kernel value but the kernel filter's dictionary rows (see below)
 comes from one function, ``_difference_form``, the body of
 ``kernel_matrix(Z, C, spec)``, which writes each family's formula once.
-``eval_complex_gaussian``, ``eval_real_gaussian``, ``kernel_value``,
-``kernel_vector``, ``gram`` and ``rkhs_distance_sq`` validate each argument
-once and return the scalar, the row or the matrix of a single call of it.
+``eval_complex_gaussian``, ``eval_real_gaussian``, ``kernel_vector``,
+``gram`` and ``rkhs_distance_sq`` validate each argument once and return
+the scalar, the row or the matrix of a single call of it.
 Only ``self_kernel`` keeps closed forms of its own, because the filters call
 it on every step and it is O(nu).
 
@@ -436,14 +436,6 @@ def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
     if spec.family != REAL_GAUSSIAN:
         raise ValueError(f"spec has family {spec.family!r}, expected {REAL_GAUSSIAN!r}")
     return float(_pair_value(x, y, spec, ("x", "y")))
-
-
-def kernel_value(z, w, spec: KernelSpec) -> complex:
-    """Evaluate kappa(z, w) for any supported family.
-
-    The linear family returns ``sum_i z_i * conj(w_i)``.
-    """
-    return complex(_pair_value(z, w, spec))
 
 
 def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.ndarray:

@@ -894,6 +894,26 @@ class TestCklmsStep:
         with pytest.raises(TypeError, match="^config must be a LinearLmsConfig, got ndarray$"):
             LinearFilterState(np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "state, step",
+        [
+            (new_cklms_state(complex_gaussian(1.0), 0.5), cklms_step),
+            (new_linear_state(2, LinearLmsConfig(0.5)), nclms_step),
+        ],
+        ids=["CklmsState", "LinearFilterState"],
+    )
+    def test_config_assignment_is_checked(self, state, step):
+        """Assigning settings that are not the state's config type is refused by the
+        constructor's check, and the state keeps stepping and snapshotting with its own."""
+        config = state.config
+        kind = type(config).__name__
+        with pytest.raises(TypeError, match=f"^config must be a {kind}, got float$"):
+            state.config = 0.5
+        assert state.config is config
+        _, record = step(state, [0.1 + 0.2j, -0.3j], 1j)
+        assert record.squared_error == 1.0
+        assert snapshot_state(state)["mu"] == 0.5
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -1595,6 +1615,7 @@ class TestSnapshots:
     @pytest.mark.parametrize(
         "algorithm, path",
         [
+            ("cklms", "algorithm"),
             ("cklms", "mu"),
             ("cklms", "iteration"),
             ("cklms", "centers"),

@@ -20,7 +20,6 @@ from ckaf.kernels import (
     gram,
     is_positive_semidefinite,
     kernel_matrix,
-    kernel_value,
     kernel_vector,
     linear_kernel,
     real_gaussian,
@@ -54,6 +53,13 @@ def reference_kappa(z, w, spec):
     if spec.family == "real-gaussian":
         return complex(math.exp(-sum(abs(a - b) ** 2 for a, b in pairs) / spec.sigma**2))
     return sum(a * b.conjugate() for a, b in pairs)
+
+
+def pair_entry(z, w, spec):
+    """kappa(z, w) of any family: eval_complex_gaussian, else kernel_matrix's one entry."""
+    if spec.family == "complex-gaussian":
+        return eval_complex_gaussian(z, w, spec)
+    return complex(kernel_matrix(z[None], w[None], spec)[0, 0])
 
 
 def reference_matrix(Z, C, spec):
@@ -277,7 +283,6 @@ class TestKernelMatrix:
         spec, z, C = case
         c = C[0]
         entry = kernel_matrix(z[None, :], c[None, :], spec)[0, 0]
-        assert kernel_value(z, c, spec) == complex(entry)
         if spec.family == "complex-gaussian":
             assert eval_complex_gaussian(z, c, spec) == complex(entry)
         if spec.family == "real-gaussian":
@@ -291,7 +296,7 @@ class TestKernelMatrix:
         """Gaussian families: kappa(w, z) == conj(kappa(z, w)) and symmetric distances, exactly."""
         spec, z, C = case
         w = C[0]
-        assert kernel_value(w, z, spec) == np.conj(kernel_value(z, w, spec))
+        assert pair_entry(w, z, spec) == np.conj(pair_entry(z, w, spec))
         assert rkhs_distance_sq(z, w, spec) == rkhs_distance_sq(w, z, spec)
 
     @settings(max_examples=60, deadline=None)
@@ -300,7 +305,7 @@ class TestKernelMatrix:
         """Linear family: the same identities to rounding, since a BLAS product may fuse multiply-adds."""
         spec, z, C = case
         w = C[0]
-        assert abs(kernel_value(w, z, spec) - np.conj(kernel_value(z, w, spec))) <= 1e-14
+        assert abs(pair_entry(w, z, spec) - np.conj(pair_entry(z, w, spec))) <= 1e-14
         assert rkhs_distance_sq(z, w, spec) == pytest.approx(rkhs_distance_sq(w, z, spec), abs=1e-14)
 
     def test_shape_validation(self):
@@ -328,7 +333,7 @@ class TestSelfKernel:
                 got = self_kernel(z, spec)
                 assert got == pytest.approx(expected, rel=1e-13)
                 assert got >= 1.0
-                direct = kernel_value(z, z, spec)
+                direct = eval_complex_gaussian(z, z, spec)
                 assert direct.real == pytest.approx(got, rel=1e-13)
                 assert abs(direct.imag) <= 1e-12 * got
 
@@ -498,8 +503,8 @@ def _modulus_sq(v):
 # value of the wrong rank, and a value whose length does not match the call's other argument
 # (None where the call has no such pairing)
 _ENTRIES = {
-    "kernel_value.z": ("z", lambda x: kernel_value(x, _Z, _SPEC), _ROW, _LONG),
-    "kernel_value.w": ("w", lambda x: kernel_value(_Z, x, _SPEC), _ROW, _LONG),
+    "eval_complex_gaussian.z": ("z", lambda x: eval_complex_gaussian(x, _Z, _SPEC), _ROW, _LONG),
+    "eval_complex_gaussian.w": ("w", lambda x: eval_complex_gaussian(_Z, x, _SPEC), _ROW, _LONG),
     # a z of the wrong length is reported as the pair rule words it, naming z and the centers
     "kernel_vector.z": ("z", lambda x: kernel_vector(x, _Z[None], _SPEC), _ROW, _LONG),
     "kernel_vector.centers": ("centers", lambda x: kernel_vector(_Z, x, _SPEC), _Z, _WIDE),
@@ -585,9 +590,9 @@ class TestComplexInput:
         """Bool, integer, float and complex data of any width or byte order is accepted and
         gives the value of the same numbers as complex128."""
         x = np.array([1, 0], dtype=dtype)
-        expected = kernel_value(x.astype(np.complex128), _Z, _SPEC)
-        assert kernel_value(x, _Z, _SPEC) == expected
-        assert kernel_value(x.tolist(), _Z, _SPEC) == expected
+        expected = eval_complex_gaussian(x.astype(np.complex128), _Z, _SPEC)
+        assert eval_complex_gaussian(x, _Z, _SPEC) == expected
+        assert eval_complex_gaussian(x.tolist(), _Z, _SPEC) == expected
 
 
 class TestShapeRules:
