@@ -26,26 +26,17 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ckaf.kernels import _as_pair, _as_vector, _complex_array, _nonnegative_finite
+from ckaf.kernels import (
+    _as_pair, _as_vector, _complex_array, _hold_python_numbers, _nonnegative_finite, _require_int,
+)
 
 DEFAULT_LINEAR_TAPS = (-0.9 + 0.8j, 0.6 - 0.7j)
 DEFAULT_POLY_COEFFS = (0.1 + 0.15j, 0.06 + 0.05j)
-
-
-def _require_int(value, name: str) -> None:
-    """Refuse ``value`` unless it is an integer (numpy's included), never a bool.
-
-    A bool would embed silently as 0 or 1, and a float fails only later,
-    inside numpy, with an error that names no setting.
-    """
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +49,10 @@ class SignalConfig:
     amplitude: float = 0.70
 
     def __post_init__(self):
+        _hold_python_numbers(self)
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        _require_int(self.n_samples, "n_samples")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        _require_int(self.n_samples, "n_samples", 1)
         if not math.isfinite(self.amplitude):
             raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
@@ -77,6 +67,7 @@ class ChannelConfig:
     poly_coeffs: tuple[complex, ...] = DEFAULT_POLY_COEFFS
 
     def __post_init__(self):
+        _hold_python_numbers(self)
         # infinite noise makes every received sample non-finite
         _nonnegative_finite(self.noise_stddev, "noise_stddev")
         if len(self.linear_taps) == 0:
@@ -96,12 +87,9 @@ class EmbeddingConfig:
     delay: int = 2
 
     def __post_init__(self):
-        _require_int(self.filter_length, "filter_length")
-        _require_int(self.delay, "delay")
-        if self.filter_length < 0:
-            raise ValueError("filter_length must be nonnegative")
-        if self.delay < 0:
-            raise ValueError("delay must be nonnegative")
+        _hold_python_numbers(self)
+        _require_int(self.filter_length, "filter_length", 0)
+        _require_int(self.delay, "delay", 0)
 
 
 @dataclass(frozen=True)

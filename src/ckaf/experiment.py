@@ -26,7 +26,10 @@ walk their fields with ``ckaf.documents.parse`` and ``echo``, so a setting
 added to a dataclass is parsed, validated and echoed without further code.
 That one module parses and writes both configs and filter snapshots
 (``ckaf.filters.snapshot_state``/``restore_state``), so both report a bad
-value by its dotted path, e.g. ``experiment.signal.rho``.
+value by its dotted path, e.g. ``experiment.signal.rho``. Each value is
+checked by the type that owns it: an algorithm entry's ``filter_config``
+builds both ``CklmsConfig`` and ``LinearLmsConfig``, so a setting that the
+entry's algorithm does not use is checked too.
 
 Output contract: CSV files have the header ``iteration,<label>_mse_db,...``
 with 1-based iteration numbers and %.12e values. JSON documents carry three
@@ -53,7 +56,6 @@ from ckaf.channel import (
     EmbeddingConfig,
     SignalConfig,
     _channel_pass,
-    _require_int,
     apply_channel,
     build_dataset,
     generate_input,
@@ -67,7 +69,7 @@ from ckaf.filters import (
     NoveltyConfig,
     run_block,
 )
-from ckaf.kernels import KernelSpec
+from ckaf.kernels import KernelSpec, _hold_python_numbers, _one_of, _require_int
 
 MSE_FLOOR = 1e-12
 STEADY_STATE_WINDOW = 500
@@ -81,8 +83,9 @@ class AlgorithmConfig:
 
     ``label`` names the output column and defaults to the algorithm id; give
     explicit labels to run the same algorithm at several settings. ``kernel``,
-    ``sigma``, ``delta1``, ``delta2`` apply to cklms; ``epsilon`` to the
-    linear filters.
+    ``sigma``, ``delta1``, ``delta2`` are used by cklms; ``epsilon`` by the
+    linear filters. Every setting is checked by the type that owns it,
+    whatever the algorithm: ``filter_config`` builds both filters' configs.
     """
 
     algorithm: str
@@ -90,13 +93,13 @@ class AlgorithmConfig:
     label: Optional[str] = None
     kernel: str = "complex-gaussian"
     sigma: float = 5.0
-    delta1: float = 0.0
-    delta2: float = 0.0
-    epsilon: float = 1e-6
+    delta1: float = NoveltyConfig.delta1
+    delta2: float = NoveltyConfig.delta2
+    epsilon: float = LinearLmsConfig.epsilon
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        _hold_python_numbers(self)
+        _one_of(self.algorithm, ALGORITHMS, "algorithm")
         if self.label is None:
             object.__setattr__(self, "label", self.algorithm)
         if not self.label or any(c in self.label for c in ',"\r\n'):  # it heads a CSV column
@@ -106,13 +109,11 @@ class AlgorithmConfig:
         self.filter_config()  # range checks of mu, kernel, sigma, thresholds, epsilon
 
     def filter_config(self):
-        if self.algorithm == "cklms":
-            return CklmsConfig(
-                kernel=KernelSpec(self.kernel, self.sigma),
-                mu=self.mu,
-                novelty=NoveltyConfig(self.delta1, self.delta2),
-            )
-        return LinearLmsConfig(mu=self.mu, epsilon=self.epsilon)
+        """The config of this entry's algorithm; the other one is built too, so both are checked."""
+        kernel = KernelSpec(self.kernel, self.sigma)
+        cklms = CklmsConfig(kernel, self.mu, NoveltyConfig(self.delta1, self.delta2))
+        linear = LinearLmsConfig(self.mu, self.epsilon)
+        return cklms if self.algorithm == "cklms" else linear
 
 
 @dataclass(frozen=True)
@@ -128,16 +129,13 @@ class ExperimentConfig:
     master_seed: int
 
     def __post_init__(self):
+        _hold_python_numbers(self)
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):  # a file name
             raise ValueError(
                 f"name must be a plain file name (no /, \\ or NUL, not . or ..), got {self.name!r}"
             )
-        _require_int(self.mc_runs, "mc_runs")
-        _require_int(self.master_seed, "master_seed")
-        if self.mc_runs < 1:
-            raise ValueError("mc_runs must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        _require_int(self.mc_runs, "mc_runs", 1)
+        _require_int(self.master_seed, "master_seed", 0)
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         labels = [a.label for a in self.algorithms]
@@ -265,11 +263,9 @@ def emit_results(result: ExperimentResult, fmt: str, path) -> None:
     resolved config and run metadata, serialized canonically (sorted keys,
     two-space indent) so identical results re-serialize to identical bytes.
     """
+    _one_of(fmt, ("csv", "json"), "output format")
     if fmt == "csv":
-        _emit_csv(result, path)
-        return
-    if fmt != "json":
-        raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'json'")
+        return _emit_csv(result, path)
     curves = {}
     for label, curve in result.curves.items():
         curves[label] = {"mse": curve.mse.tolist(), "mse_db": curve.mse_db.tolist()}

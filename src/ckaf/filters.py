@@ -78,8 +78,8 @@ import numpy as np
 
 from ckaf.documents import ConfigError, echo, parse
 from ckaf.kernels import (
-    KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar, _nonnegative_finite,
-    _positive_finite, kernel_vector, self_kernel,
+    KernelSpec, _as_pair, _as_vector, _complex_array, _complex_scalar, _hold_python_numbers,
+    _nonnegative_finite, _one_of, _positive_finite, _require_int, kernel_vector, self_kernel,
 )
 
 ALGORITHMS = ("cklms", "nclms", "wl_nclms")
@@ -124,6 +124,7 @@ class NoveltyConfig:
     delta2: float = 0.0
 
     def __post_init__(self):
+        _hold_python_numbers(self)
         # an infinite threshold admits nothing after the first center
         _nonnegative_finite(self.delta1, "delta1")
         _nonnegative_finite(self.delta2, "delta2")
@@ -225,6 +226,7 @@ class CklmsConfig:
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
 
     def __post_init__(self):
+        _hold_python_numbers(self)  # a float32 mu would make every coefficient complex64
         _positive_finite(self.mu, "mu")  # an infinite step makes every coefficient non-finite
 
 
@@ -254,9 +256,8 @@ class CklmsState:
     iteration: int = 0
 
     def __post_init__(self):
-        # what a snapshot can hold: an int, never a bool
-        if not isinstance(self.iteration, int) or isinstance(self.iteration, bool):
-            raise TypeError(f"iteration must be an int, got {self.iteration!r}")
+        _hold_python_numbers(self)
+        _require_int(self.iteration, "iteration")  # what a snapshot can hold
         _nonnegative_finite(self.iteration, "iteration")  # a negative count breaks the next step
 
 
@@ -277,6 +278,7 @@ class LinearLmsConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        _hold_python_numbers(self)
         _positive_finite(self.mu, "mu")  # an infinite step turns every weight into NaN
         _nonnegative_finite(self.epsilon, "epsilon")  # an infinite regularizer makes every gain 0
 
@@ -482,8 +484,7 @@ class BlockRun(NamedTuple):
 
 
 def _check_algorithm(algorithm: str, config) -> None:
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _one_of(algorithm, ALGORITHMS, "algorithm")
     expected = CklmsConfig if algorithm == "cklms" else LinearLmsConfig
     if not isinstance(config, expected):
         raise TypeError(f"{algorithm} requires a {expected.__name__}")
@@ -674,8 +675,10 @@ def restore_state(doc):
     algorithm = doc.get("algorithm") if isinstance(doc, dict) else "cklms"
     if isinstance(doc, dict) and "algorithm" not in doc:  # in parse's words
         raise ConfigError("snapshot.algorithm", "missing required field")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"snapshot has unknown algorithm {algorithm!r}")
+    try:
+        _one_of(algorithm, ALGORITHMS, "algorithm")
+    except ValueError as exc:
+        raise ConfigError("snapshot.algorithm", str(exc)) from exc
     snap = parse(_CklmsSnapshot if algorithm == "cklms" else _LinearSnapshot, doc, "snapshot")
     if algorithm != "cklms" and (snap.g is not None) != (algorithm == "wl_nclms"):
         verb = "has" if snap.g is not None else "needs"

@@ -24,6 +24,12 @@ equal length (``_as_pair``) and one pair of ``(n, nu)`` and ``(m, nu)`` row
 arrays with ``nu >= 1`` (``_as_rows``). Every shape error is a ValueError
 that names the argument, and a length mismatch names both.
 
+The settings rules of every module's config types are written here once,
+beside ``KernelSpec``: ``_one_of`` for a named choice, ``_require_int`` for
+an integer, ``_positive_finite`` and ``_nonnegative_finite`` for a range,
+and ``_hold_python_numbers``, which each type calls first so that a numpy
+scalar setting is held as the Python number it holds.
+
 ``kernel_matrix`` evaluates the Gaussian exponents in the difference form
 ``sum_i (z_i - conj(c_i))**2``. The kernel filter instead passes
 ``kernel_vector`` the per-center squares ``c.c`` that its dictionary caches
@@ -127,10 +133,8 @@ class KernelSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
-            )
+        _hold_python_numbers(self)
+        _one_of(self.family, _FAMILIES, "kernel family")
         _positive_finite(self.sigma, "sigma")  # an infinite width makes every kernel value 1
         # the kernels divide by sigma**2, which overflows from 2**512 on and is subnormal below
         # 2**-511, so that its reciprocal overflows and, further down, the square is 0
@@ -179,6 +183,44 @@ def _complex_scalar(x, name: str) -> complex:
     if v.ndim != 0:
         raise TypeError(f"{name} must be a scalar, got shape {v.shape}")
     return v.item()
+
+
+def _hold_python_numbers(settings) -> None:
+    """Replace each numpy scalar field of dataclass ``settings`` by the Python number it holds.
+
+    Every settings type calls this first in ``__post_init__``, so a setting
+    given as ``np.int64(2)`` or ``np.float32(0.5)`` is checked, computed with
+    and written to JSON as the ``int`` or ``float`` of the same value.
+    ``object.__setattr__`` writes frozen dataclasses too. The fields are read
+    one by one, never through ``vars``: that would turn the instance's inline
+    attribute values into a dict, and make every later attribute read of the
+    settings, such as the kernel filter's per-step ``config.mu``, about three
+    times slower.
+    """
+    for name in settings.__dataclass_fields__:
+        value = getattr(settings, name)
+        if isinstance(value, np.generic):
+            object.__setattr__(settings, name, value.item())
+
+
+def _one_of(value, choices: tuple, name: str) -> None:
+    """Refuse ``value`` unless it is one of the named ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+
+
+def _require_int(value, name: str, minimum=None) -> None:
+    """Refuse ``value`` unless it is an int, never a bool, and at least ``minimum`` if given.
+
+    A bool would embed silently as 0 or 1, and a float fails only later,
+    inside numpy, with an error that names no setting. A numpy integer has
+    become an int in ``_hold_python_numbers`` before this check. A wrong type
+    is a TypeError, a value below ``minimum`` a ValueError.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be " + (f"at least {minimum}" if minimum else "nonnegative"))
 
 
 def _positive_finite(value, name: str) -> None:
@@ -397,8 +439,10 @@ def _split_conj_exp(row: np.ndarray, scale: float) -> bool:
     return True
 
 
-def _pair_value(z, w, spec: KernelSpec, names=("z", "w")):
-    """kappa(z, w) as the single entry of a 1 x 1 kernel matrix."""
+def _pair_value(z, w, spec: KernelSpec, family: str, names=("z", "w")):
+    """kappa(z, w) as the single entry of a 1 x 1 kernel matrix, for a spec of ``family``."""
+    if spec.family != family:
+        raise ValueError(f"spec has family {spec.family!r}, expected {family!r}")
     zv, wv = _as_pair(z, w, names)
     return _difference_form(zv[None], wv[None], spec)[0, 0]
 
@@ -420,9 +464,7 @@ def eval_complex_gaussian(z, w, spec: KernelSpec) -> complex:
         value is real and lies in (0, 1]; for complex inputs the modulus may
         exceed 1.
     """
-    if spec.family != COMPLEX_GAUSSIAN:
-        raise ValueError(f"spec has family {spec.family!r}, expected {COMPLEX_GAUSSIAN!r}")
-    return complex(_pair_value(z, w, spec))
+    return complex(_pair_value(z, w, spec, COMPLEX_GAUSSIAN))
 
 
 def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
@@ -433,9 +475,7 @@ def eval_real_gaussian(x, y, spec: KernelSpec) -> float:
     subspace; on complex inputs it is the real Gaussian of the two vectors
     read as points of R^(2 nu).
     """
-    if spec.family != REAL_GAUSSIAN:
-        raise ValueError(f"spec has family {spec.family!r}, expected {REAL_GAUSSIAN!r}")
-    return float(_pair_value(x, y, spec, ("x", "y")))
+    return float(_pair_value(x, y, spec, REAL_GAUSSIAN, ("x", "y")))
 
 
 def kernel_vector(z, centers: np.ndarray, spec: KernelSpec, squares=None) -> np.ndarray:

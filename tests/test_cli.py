@@ -204,6 +204,30 @@ class TestEqualize:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "index, setting, message",
+        [
+            (1, {"kernel": "laplacian"}, "unknown kernel family 'laplacian'; expected one of "),
+            (1, {"sigma": -1}, "sigma must be positive and finite, got -1"),
+            (1, {"delta1": math.nan}, "delta1 must be nonnegative and finite, got nan"),
+            (0, {"epsilon": -5}, "epsilon must be nonnegative and finite, got -5"),
+        ],
+        ids=["nclms-kernel", "nclms-sigma", "nclms-delta1", "cklms-epsilon"],
+    )
+    def test_setting_the_algorithm_does_not_use_exits_2(
+        self, capsys, tmp_path, index, setting, message
+    ):
+        """Every setting of an entry is checked by the type that owns it, whatever the entry's
+        algorithm: a kernel setting of an nclms entry and the epsilon of a cklms entry too."""
+        doc = json.loads(json.dumps(TINY_CONFIG))
+        doc["algorithms"][index].update(setting)
+        config = tmp_path / "unused.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "results"
+        assert main(["equalize", "--config", str(config), "--out", str(out)]) == 2
+        assert f"experiment.algorithms[{index}]: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value, message",
         [
             ("name", "../escaped", "experiment: name must be a plain file name"),

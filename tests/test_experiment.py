@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -33,7 +34,19 @@ from ckaf.channel import (
     build_dataset,
     generate_input,
 )
-from ckaf.filters import run_filter
+from ckaf.filters import (
+    CklmsConfig,
+    CklmsState,
+    LinearLmsConfig,
+    NoveltyConfig,
+    cklms_step,
+    nclms_step,
+    new_linear_state,
+    restore_state,
+    run_filter,
+    snapshot_state,
+)
+from ckaf.kernels import KernelSpec
 
 CIRCULAR_RHO = 0.7071067811865476
 SHIPPED_CONFIGS = [default_config_path()] + sorted(
@@ -456,6 +469,88 @@ class TestEmitResults:
         """Emitting into a missing directory raises an I/O error."""
         with pytest.raises(OSError):
             emit_results(result, "csv", tmp_path / "missing" / "out.csv")
+
+
+ALGORITHM_CHOICES = ("cklms", "nclms", "wl_nclms")
+
+
+@pytest.mark.parametrize(
+    "refuse, prefix, name, value, choices",
+    [
+        (lambda path: KernelSpec("gaussian", 1.0), "", "kernel family", "gaussian",
+         ("complex-gaussian", "real-gaussian", "linear")),
+        (lambda path: AlgorithmConfig("klms", 0.1), "", "algorithm", "klms", ALGORITHM_CHOICES),
+        (lambda path: run_filter([(np.array([0j]), 0j)], "klms", LinearLmsConfig(0.1)), "",
+         "algorithm", "klms", ALGORITHM_CHOICES),
+        (lambda path: emit_results(None, "xml", path), "", "output format", "xml", ("csv", "json")),
+        (lambda path: restore_state({"algorithm": "klms"}), "snapshot.algorithm: ", "algorithm",
+         "klms", ALGORITHM_CHOICES),
+    ],
+    ids=["KernelSpec", "AlgorithmConfig", "run_filter", "emit_results", "restore_state"],
+)
+def test_named_choices_are_refused_in_one_wording(refuse, prefix, name, value, choices, tmp_path):
+    """Every refusal of a named choice names the setting, the value and the choices."""
+    message = f"{prefix}unknown {name} {value!r}; expected one of {choices}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refuse(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+# settings as numpy scalars of several widths; their twins are the Python numbers they hold
+NUMPY_SETTINGS = {
+    "rho": np.float32(0.6), "n_samples": np.int32(90), "amplitude": np.float32(0.7),
+    "noise_stddev": np.float32(0.05), "filter_length": np.int16(3), "delay": np.uint8(1),
+    "mu": np.float32(0.3), "sigma": np.float32(2.0), "delta1": np.float32(0.05),
+    "delta2": np.float16(0.01), "epsilon": np.float32(1e-3), "mc_runs": np.int64(2),
+    "master_seed": np.uint32(7), "iteration": np.int64(4),
+}
+
+
+def test_numpy_scalar_settings_are_held_as_python_numbers(tmp_path):
+    """Settings given as numpy scalars are held as the Python numbers they hold, so a config and
+    a state built from them write the same CSV, JSON and snapshot bytes as their twins."""
+    outputs = {}
+    python_settings = {key: value.item() for key, value in NUMPY_SETTINGS.items()}
+    for twin, v in (("numpy", NUMPY_SETTINGS), ("python", python_settings)):
+        cfg = ExperimentConfig(
+            name="twin",
+            signal=SignalConfig(rho=v["rho"], n_samples=v["n_samples"], amplitude=v["amplitude"]),
+            channel=ChannelConfig(noise_stddev=v["noise_stddev"]),
+            embedding=EmbeddingConfig(filter_length=v["filter_length"], delay=v["delay"]),
+            algorithms=(
+                AlgorithmConfig(
+                    "cklms", v["mu"], sigma=v["sigma"], delta1=v["delta1"], delta2=v["delta2"]
+                ),
+                AlgorithmConfig("wl_nclms", v["mu"], epsilon=v["epsilon"]),
+            ),
+            mc_runs=v["mc_runs"],
+            master_seed=v["master_seed"],
+        )
+        result = run_experiment(cfg)
+        emit_results(result, "csv", tmp_path / f"{twin}.csv")
+        emit_results(result, "json", tmp_path / f"{twin}.json")
+        text = (tmp_path / f"{twin}.json").read_text()
+        novelty = NoveltyConfig(v["delta1"], v["delta2"])
+        cklms_config = CklmsConfig(KernelSpec("complex-gaussian", v["sigma"]), v["mu"], novelty)
+        cklms = CklmsState(cklms_config, iteration=v["iteration"])
+        linear = new_linear_state(4, LinearLmsConfig(v["mu"], v["epsilon"]), widely_linear=True)
+        data = np.random.default_rng(3)
+        for z in 0.5 * (data.standard_normal((30, 4)) + 1j * data.standard_normal((30, 4))):
+            cklms_step(cklms, z, complex(z[0] * z[1]))
+            nclms_step(linear, z, complex(z[0] * z[1]))
+        outputs[twin] = (
+            (tmp_path / f"{twin}.csv").read_bytes(),
+            re.sub(r'"wall_clock_seconds": [^\n]*', "", text),
+            json.dumps(snapshot_state(cklms)),
+            json.dumps(snapshot_state(linear)),
+        )
+        held = [cfg, cfg.signal, cfg.channel, cfg.embedding, *cfg.algorithms, cklms]
+        held += [cklms_config, cklms_config.kernel, novelty, linear.config]
+        for settings in held:
+            values = [getattr(settings, name) for name in settings.__dataclass_fields__]
+            assert not any(isinstance(value, np.generic) for value in values)
+    assert outputs["numpy"] == outputs["python"]
+    assert result.metadata["mc_runs"] == 2 and type(result.metadata["mc_runs"]) is int
 
 
 def test_import_leaves_process_pools_unloaded():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import ckaf.filters
 import ckaf.kernels
+from ckaf.documents import ConfigError
 from ckaf.channel import (
     ChannelConfig,
     EmbeddingConfig,
@@ -863,6 +864,9 @@ class TestCklmsStep:
         for iteration in (2.5, 3.0, True, "3"):
             with pytest.raises(TypeError, match=f"^iteration must be an int, got {iteration!r}$"):
                 CklmsState(CklmsConfig(complex_gaussian(1.0), 0.5), iteration=iteration)
+        # a numpy int passes, as it does for every other int setting, and is held as an int
+        state = CklmsState(CklmsConfig(complex_gaussian(1.0), 0.5), iteration=np.int64(3))
+        assert state.iteration == 3 and type(state.iteration) is int
 
     def test_state_holds_its_settings_frozen(self):
         """The state keeps one settings object, which refuses assignment: a step size can no
@@ -1676,6 +1680,16 @@ class TestSnapshots:
         """Restoring an unrecognized document is a usage error."""
         with pytest.raises(ValueError):
             restore_state({"algorithm": "rls"})
+
+    @pytest.mark.parametrize("algorithm", [5, None, ["cklms"], "x"], ids=repr)
+    def test_unknown_algorithm_names_its_path(self, algorithm):
+        """An algorithm of the wrong type or an unknown name is refused at its path, as a
+        mistyped value of any other field is."""
+        doc = fresh_snapshot("cklms")
+        doc["algorithm"] = algorithm
+        message = f"snapshot.algorithm: unknown algorithm {algorithm!r}; expected one of "
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            restore_state(doc)
 
     @settings(max_examples=60, deadline=None)
     @given(
